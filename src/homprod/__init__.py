@@ -11,6 +11,7 @@ from .errors import (
     DimensionError,
     FormatError,
     HomprodError,
+    InvariantError,
     NoLogicalsError,
     ParameterError,
     PreconditionError,
@@ -25,6 +26,7 @@ __all__ = [
     "DimensionError",
     "FormatError",
     "HomprodError",
+    "InvariantError",
     "NoLogicalsError",
     "ParameterError",
     "PreconditionError",

@@ -75,10 +75,6 @@ class EncodingCircuit:
             if not (0 <= g.control < self.n_qubits and 0 <= g.target < self.n_qubits):
                 raise DimensionError("gate touches a qubit outside the circuit")
 
-    @property
-    def data_qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, tag in enumerate(self.init) if tag.tag == "data")
-
     def tag_counts(self) -> dict[str, int]:
         counts = {tag: 0 for tag in VALID_TAGS}
         for tag in self.init:

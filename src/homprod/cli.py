@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
         if budget is not None:
-            p.add_argument("--budget", type=int, default=budget, help="search step budget")
+            p.add_argument("--budget", type=int, default=budget, help="search budget in vectors visited")
 
     p = sub.add_parser("gen-random", help="random boundary operator with given M and H")
     p.add_argument("m", type=int)

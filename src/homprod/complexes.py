@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import InvariantError, ParameterError, PreconditionError
 from .gf2 import (
     Basis,
     BitMatrix,
@@ -182,12 +182,14 @@ def canonical_witness(d: BoundaryOperator) -> BitMatrix:
     cols.extend(vector_to_bits(v, m) for v in im.vectors)
     for b in im.vectors:
         x = solve(d.matrix, b)
-        assert x is not None
+        if x is None:
+            raise InvariantError("an image vector has no preimage")
         cols.append(vector_to_bits(x, m))
     u = BitMatrix.from_dense(np.array(cols, dtype=np.uint8).T) if cols else BitMatrix.zeros(m, m)
     if m and u.rank() != m:
-        raise AssertionError("witness columns failed to form a basis")
-    assert len(hvecs) == h
+        raise InvariantError("witness columns failed to form a basis")
+    if len(hvecs) != h:
+        raise InvariantError(f"found {len(hvecs)} homology representatives, expected {h}")
     return u
 
 
@@ -231,11 +233,13 @@ def reduced_boundary(d: BoundaryOperator, m_prime: int) -> ReducedOperator:
     else:
         pivots = []
         s_basis = Basis(BitMatrix(0, m))
-    assert len(pivots) == m - m_prime, "goodness must force dim S^> = M - m_prime"
+    if len(pivots) != m - m_prime:
+        raise InvariantError("goodness must force dim S^> = M - m_prime")
     pivot_set = set(pivots)
     free = [c for c in range(m_prime) if c not in pivot_set]
     k_dim = len(free)
-    assert k_dim == 2 * m_prime - m
+    if k_dim != 2 * m_prime - m:
+        raise InvariantError(f"reduced dimension {k_dim} is not 2 m_prime - M = {2 * m_prime - m}")
 
     s_rows = s_basis.matrix.to_dense()
 
@@ -258,5 +262,6 @@ def reduced_boundary(d: BoundaryOperator, m_prime: int) -> ReducedOperator:
         lift.set(j, c, 1)
     out = ReducedOperator(delta_prime, s_basis, lift, m, m_prime, pivots, free)
     reduced_op = BoundaryOperator(delta_prime)
-    assert reduced_op.hom_dim == d.hom_dim, "reduction must preserve homology"
+    if reduced_op.hom_dim != d.hom_dim:
+        raise InvariantError("reduction must preserve homology")
     return out

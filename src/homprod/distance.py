@@ -1,39 +1,33 @@
 """Exact minimum-weight search over nontrivial cycles and cocycles.
 
-The nontrivial cycles of a boundary operator split into 2^H - 1 cosets of the
-image, indexed by nonzero combinations of H homology representatives.  Each
-coset is enumerated exhaustively: the high image generators advance by
-Gray-code single-XOR updates while the low generators are expanded once into a
-subset-XOR table, so the inner loop is a word-wide XOR, popcount, and min over
-a contiguous block.  Triviality never has to be tested pointwise; it is built
-into the coset structure.
+d_z is the least weight over ker(d) outside im(d), and d_x the same for the
+transposed operator.  Both come from the information-set search
+`gf4.min_cycle`, run on 0/1 codes with the single scalar 1: GF(2) is the 0/1
+subfield of GF(4), so the search, its nontriviality test and its witness
+check are the GF(4) ones.
 
-Minima are tie-broken by (weight, lexicographic vector), which makes results
-independent of how the scan is chunked or distributed across threads.
+Witnesses are the (weight, lexicographic)-least nontrivial cycles, which
+makes them independent of the order of the search.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import BoundaryOperator, homology_representatives
-from .errors import BudgetError, NoLogicalsError
-from .gf2 import BitMatrix, image_basis, in_span, vector_to_bits, vector_weight
-
-DEFAULT_BUDGET = 1 << 32
-_LO_BITS = 18
-
-_REV8 = np.array(
-    [int(format(i, "08b")[::-1], 2) for i in range(256)], dtype=np.uint8
-)
+from .complexes import BoundaryOperator
+from .errors import DimensionError
+from .gf2 import BitMatrix, vector_from_bits, vector_to_bits, vector_weight, zero_vector
+from .gf4 import DEFAULT_BUDGET, check_witness, min_cycle
 
 
 @dataclass
 class DistanceResult:
+    """Both distances and witnesses; `cosets_scanned` counts the nontrivial
+    homology classes covered, 2^H - 1 per sector."""
+
     d_z: int
     d_x: int
     witness_z: np.ndarray
@@ -42,160 +36,17 @@ class DistanceResult:
     wall_time: float
 
 
-def _bitrev_words(vals: np.ndarray) -> np.ndarray:
-    """Reverse the bit order of each uint64 so ascending order is lex order."""
-    b = np.ascontiguousarray(vals).view(np.uint8).reshape(-1, 8)
-    return np.ascontiguousarray(_REV8[b][:, ::-1]).view(np.uint64).reshape(-1)
-
-
-def _lex_min_pick(vals: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The lexicographically smallest row of a (count, words) candidate block."""
-    if vals.ndim == 1:
-        vals = vals.reshape(-1, 1)
-    keys = [_bitrev_words(vals[:, w]) for w in range(vals.shape[1])]
-    order = np.lexsort(keys[::-1])
-    best = vals[order[0]]
-    return tuple(int(_bitrev_words(best[w : w + 1])[0]) for w in range(len(best))), best
-
-
-class _SectorScan:
-    """Shared data for scanning one operator's nontrivial cycles."""
-
-    def __init__(self, op: BoundaryOperator):
-        self.op = op
-        self.h = op.hom_dim
-        self.l = op.rank
-        self.words = op.matrix.data.shape[1]
-        im = image_basis(op.matrix)
-        self.gens = (
-            np.array(im.vectors, dtype=np.uint64)
-            if im.dim
-            else np.zeros((0, self.words), dtype=np.uint64)
-        )
-        self.reps = homology_representatives(op)
-        self.nlo = min(self.l, _LO_BITS)
-        self.nhi = self.l - self.nlo
-        self.table = self._subset_table(self.gens[: self.nlo])
-
-    def _subset_table(self, lo_gens: np.ndarray) -> np.ndarray:
-        table = np.zeros((1 << len(lo_gens), self.words), dtype=np.uint64)
-        size = 1
-        for g in lo_gens:
-            np.bitwise_xor(table[:size], g, out=table[size : 2 * size])
-            size *= 2
-        return table
-
-    def coset_rep(self, label: int) -> np.ndarray:
-        rep = np.zeros(self.words, dtype=np.uint64)
-        for i in range(self.h):
-            if (label >> i) & 1:
-                rep = rep ^ self.reps[i]
-        return rep
-
-    def scan_chunk(self, label: int, t_start: int, t_stop: int):
-        """Exact (weight, lex-key, vector) minimum over part of one coset.
-
-        The chunk covers Gray steps [t_start, t_stop) of the high generators,
-        each step paired with the full low subset table.
-        """
-        base = self.coset_rep(label)
-        gray = t_start ^ (t_start >> 1)
-        for i in range(self.nhi):
-            if (gray >> i) & 1:
-                base = base ^ self.gens[self.nlo + i]
-        arr = np.empty_like(self.table)
-        flat = arr.reshape(-1)
-        wbuf = np.empty(self.table.shape[0], dtype=np.uint8)
-        best_w, best_key, best_vec = None, None, None
-        for t in range(t_start, t_stop):
-            if t != t_start:
-                flip = (t & -t).bit_length() - 1
-                base = base ^ self.gens[self.nlo + flip]
-            np.bitwise_xor(self.table, base, out=arr)
-            if self.words == 1:
-                np.bitwise_count(flat, out=wbuf)
-                weights = wbuf
-            else:
-                weights = np.bitwise_count(arr).sum(axis=1, dtype=np.uint16)
-            bm = int(weights.min())
-            if best_w is None or bm <= best_w:
-                cand = arr[weights == bm] if self.words > 1 else flat[weights == bm]
-                key, vec = _lex_min_pick(cand)
-                if best_w is None or bm < best_w or key < best_key:
-                    best_w, best_key, best_vec = bm, key, np.atleast_1d(vec).astype(np.uint64)
-        return best_w, best_key, best_vec
-
-    def scan_chunk_bounded(self, label: int, bound: int):
-        """First vector of weight <= bound in scan order over a full coset, or None."""
-        base = self.coset_rep(label)
-        arr = np.empty_like(self.table)
-        for t in range(1 << self.nhi):
-            if t:
-                flip = (t & -t).bit_length() - 1
-                base = base ^ self.gens[self.nlo + flip]
-            np.bitwise_xor(self.table, base, out=arr)
-            if self.words == 1:
-                wbuf = np.bitwise_count(arr.reshape(-1))
-            else:
-                wbuf = np.bitwise_count(arr).sum(axis=1, dtype=np.uint16)
-            hits = wbuf <= bound
-            if hits.any():
-                idx = int(np.argmax(hits))
-                return arr[idx].copy() if self.words > 1 else arr.reshape(-1)[idx : idx + 1].copy()
-        return None
-
-
-def _check_budget(op: BoundaryOperator, budget: int) -> None:
-    if op.hom_dim == 0:
-        raise NoLogicalsError("operator has no homology; distance is undefined")
-    steps = 1 << (op.rank + op.hom_dim)
-    if steps > budget:
-        raise BudgetError(
-            f"exhaustive search needs 2^{op.rank + op.hom_dim} = {steps} steps, "
-            f"which exceeds the budget of {budget}; raise the budget to at least {steps}"
-        )
-
-
-def _min_nontrivial(op: BoundaryOperator, budget: int, threads: int = 1):
-    """Exact minimum-weight nontrivial cycle of one operator."""
-    _check_budget(op, budget)
-    scan = _SectorScan(op)
-    labels = range(1, 1 << scan.h)
-    units: list[tuple[int, int, int]] = []
-    hi_total = 1 << scan.nhi
-    chunks = 1
-    if threads > 1 and hi_total > 1:
-        chunks = min(hi_total, 1 << max(1, (threads - 1).bit_length()))
-    step = max(1, hi_total // chunks)
-    for label in labels:
-        for start in range(0, hi_total, step):
-            units.append((label, start, min(start + step, hi_total)))
-
-    if threads > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda u: scan.scan_chunk(*u), units))
-    else:
-        results = [scan.scan_chunk(*u) for u in units]
-
-    best = min(results, key=lambda r: (r[0], r[1]))
-    weight, _, vec = best
-    witness = vec.reshape(-1)
-    _verify_witness(op, witness, weight)
-    return weight, witness, (1 << scan.h) - 1
-
-
-def _verify_witness(op: BoundaryOperator, witness: np.ndarray, weight: int) -> None:
-    assert vector_weight(witness) == weight
-    bits = vector_to_bits(witness, op.m)
-    assert not ((op.matrix.to_dense() @ bits) % 2).any(), "witness is not a cycle"
-    assert not in_span(witness, image_basis(op.matrix)), "witness is a trivial cycle"
+def _min_cycle(matrix: BitMatrix, budget: int, limit: int | None = None) -> np.ndarray | None:
+    found = min_cycle(matrix.to_dense(), (1,), budget, limit)
+    return None if found is None else vector_from_bits(found)
 
 
 def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResult:
-    """Exact d_z and d_x by exhaustive coset enumeration.
+    """Exact d_z and d_x.
 
     d_z is the minimum weight over ker(d) minus im(d); d_x is the same for
-    the transposed operator.  Fails fast when 2^(rank + H) exceeds `budget`.
+    the transposed operator.  Raises BudgetError before a search round
+    that would visit more than `budget` vectors.
     """
     return distance_parallel(d, 1, budget)
 
@@ -205,20 +56,18 @@ def distance_parallel(
 ) -> DistanceResult:
     """Same result as `distance` for every thread count.
 
-    Work splits across coset labels and Gray-step ranges; partial minima
-    merge by (weight, lexicographic vector), so the outcome is schedule
-    independent.
+    `threads` is accepted for callers that pass a thread count; the search
+    runs on one thread.
     """
     t0 = time.perf_counter()
-    d_z, wit_z, cosets_z = _min_nontrivial(d, budget, threads)
-    dt = BoundaryOperator(d.matrix.transpose())
-    d_x, wit_x, cosets_x = _min_nontrivial(dt, budget, threads)
+    wit_z = _min_cycle(d.matrix, budget)
+    wit_x = _min_cycle(d.matrix.transpose(), budget)
     return DistanceResult(
-        d_z=d_z,
-        d_x=d_x,
+        d_z=vector_weight(wit_z),
+        d_x=vector_weight(wit_x),
         witness_z=wit_z,
         witness_x=wit_x,
-        cosets_scanned=cosets_z + cosets_x,
+        cosets_scanned=2 * ((1 << d.hom_dim) - 1),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -226,20 +75,22 @@ def distance_parallel(
 def distance_upper_bound(
     d: BoundaryOperator, bound: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray | None:
-    """First nontrivial cycle of weight <= bound in scan order, if any.
+    """The least nontrivial cycle of weight <= bound, if any.
 
-    A None return means the full scan completed, so d_z exceeds `bound`.
-    Scan order: coset labels ascending by Gray sequence, high generators by
-    Gray steps, low generator subsets in binary order.
+    A None return is a proof that d_z exceeds `bound`: the search stops only
+    once every cycle that light has been seen.
     """
-    _check_budget(d, budget)
-    if bound <= 0:
-        return None
-    scan = _SectorScan(d)
-    for t in range(1, 1 << scan.h):
-        label = t ^ (t >> 1)
-        hit = scan.scan_chunk_bounded(label, bound)
-        if hit is not None:
-            _verify_witness(d, hit, vector_weight(hit))
-            return hit
-    return None
+    return _min_cycle(d.matrix, budget, bound)
+
+
+def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
+    """Weight of `witness` after checking that it lies in ker(d) \\ im(d).
+
+    Raises WitnessError when d * witness is nonzero or the witness is in the
+    image, so a returned weight is an upper bound on d_z.
+    """
+    if witness.shape != zero_vector(d.m).shape:
+        raise DimensionError(f"witness has {witness.size} words, operator has m={d.m}")
+    weight = vector_weight(witness)
+    check_witness(d.matrix.to_dense(), vector_to_bits(witness, d.m), weight)
+    return weight

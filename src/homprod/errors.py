@@ -31,6 +31,10 @@ class WitnessError(HomprodError, ValueError):
     """A claimed witness is not a nontrivial cycle of the claimed weight."""
 
 
+class InvariantError(HomprodError, AssertionError):
+    """An internal consistency check failed on valid input, which is a bug."""
+
+
 class FormatError(HomprodError, ValueError):
     """A text payload does not conform to the expected file format."""
 

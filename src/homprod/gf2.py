@@ -111,10 +111,6 @@ class BitMatrix:
     def row_weight(self, i: int) -> int:
         return int(np.bitwise_count(self.data[i]).sum())
 
-    def column_bits(self, j: int) -> np.ndarray:
-        """Column j as a 0/1 uint64 vector of length rows."""
-        return (self.data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-
     def to_dense(self) -> np.ndarray:
         return unpack_rows(self.data, self.cols)
 

@@ -1,4 +1,4 @@
-"""GF(4)-linear stabilizer codes from self-adjoint boundary operators.
+r"""GF(4)-linear stabilizer codes from self-adjoint boundary operators.
 
 The field GF(4) = {0, 1, w, W} (W = w^2) is represented by 2-bit codes
 0->00, 1->01, w->10, W->11, so a code is lo + 2*hi and addition is XOR.
@@ -17,11 +17,13 @@ A self-orthogonal subspace C (Hermitian products (f,g) = sum conj(f_j) g_j
 all zero) defines a stabilizer code with k = n - 2 dim C.  A boundary
 operator here is a square matrix with delta* = delta and delta^2 = 0; its
 image is self-orthogonal and the code distance is the minimum weight over
-ker(delta) \ im(delta).  The distance engine mirrors the GF(2) one: the
-image is spanned over GF(2) by the pairs {g, w*g}, scanned as a subset-XOR
-table plus a Gray-code walk, and only one representative per projective
-homology class {c, w*c, W*c} is enumerated since weights are invariant
-under scalars.
+ker(delta) \ im(delta).
+
+The distance engine, `min_cycle`, serves this module and the GF(2) one: it
+is an information-set (Brouwer-Zimmermann) search over ker(delta) that
+tests each combination for nontriviality by its Hermitian products with
+ker(delta*), and stops once its lower bound on every unseen cycle exceeds
+the lightest nontrivial cycle found.  GF(2) operators are its 0/1 case.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,11 @@ from .errors import (
     PreconditionError,
     WitnessError,
 )
-from .gf2 import BitMatrix, vector_from_bits
+from .gf2 import BitMatrix
 
+# Vectors a distance search may visit, and the size of its enumeration blocks.
 DEFAULT_BUDGET = 1 << 32
-_LO_BITS = 18
+_TABLE_BYTES = 1 << 20
 
 SYMBOLS = "01wW"
 
@@ -301,18 +303,19 @@ def gf4_image(m: Gf4Matrix) -> np.ndarray:
     return _row_space_codes(m.to_codes().T)
 
 
+def _kernel_codes(codes: np.ndarray) -> np.ndarray:
+    cols = codes.shape[1]
+    reduced, pivots = _rref_codes(codes)
+    free = sorted(set(range(cols)) - set(pivots))
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = reduced[: len(pivots)][:, free].T
+    return basis
+
+
 def gf4_kernel(m: Gf4Matrix) -> np.ndarray:
     """Canonical basis of the right kernel, one code row per basis vector."""
-    codes = m.to_codes()
-    rows, cols = codes.shape
-    reduced, pivots = _rref_codes(codes)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for out, f in enumerate(free):
-        basis[out, f] = 1
-        for i, p in enumerate(pivots):
-            basis[out, p] = reduced[i, f]
-    return basis
+    return _kernel_codes(m.to_codes())
 
 
 def _in_row_span(rows: np.ndarray, v: np.ndarray) -> bool:
@@ -320,27 +323,6 @@ def _in_row_span(rows: np.ndarray, v: np.ndarray) -> bool:
         return not v.any()
     stacked = np.vstack([rows, v[None, :]])
     return len(_rref_codes(stacked)[1]) == rows.shape[0]
-
-
-def _extend_rows(base: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Candidate rows that enlarge the span of `base`, in candidate order."""
-    picked = []
-    current = base
-    for v in candidates:
-        if not _in_row_span(current, v):
-            picked.append(v)
-            current = np.vstack([current, v[None, :]])
-    return (
-        np.array(picked, dtype=np.uint8)
-        if picked
-        else np.zeros((0, base.shape[1]), dtype=np.uint8)
-    )
-
-
-def _matvec_codes(mat_codes: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if mat_codes.shape[0] == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return np.bitwise_xor.reduce(_MUL[mat_codes, v[None, :]], axis=1)
 
 
 # -- boundary operators --------------------------------------------------------
@@ -492,183 +474,181 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 
 
 # -- distance ---------------------------------------------------------------------
+#
+# One information-set (Brouwer-Zimmermann) search serves both fields.  The
+# cycles of a matrix a are ker(a) and the trivial ones im(a) = ker(a*)^perp,
+# so a cycle is trivial iff its Hermitian products with a basis of ker(a*)
+# all vanish.  Those products are linear in the cycle, so each kernel
+# generator carries them as extra syndrome columns and every combination of
+# generators carries its own test.  GF(2) is the 0/1 subfield: its operators
+# run on 0/1 codes with the single scalar 1, GF(4) ones with {1, w, W}.
 
 
 @dataclass
 class Gf4DistanceResult:
+    """Distance, witness, and the (4^H - 1) / 3 projective homology classes covered."""
+
     d: int
     witness: np.ndarray
     cosets_scanned: int
     wall_time: float
 
 
-def _pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Concatenated packed planes [lo words | hi words] of a code vector."""
-    return np.concatenate([vector_from_bits(codes & 1), vector_from_bits(codes >> 1)])
+def _matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.bitwise_xor.reduce(_MUL[a[:, :, None], b[None, :, :]], axis=1)
 
 
-def _unpack_codes(packed: np.ndarray, n: int) -> np.ndarray:
-    w = packed.size // 2
-    j = np.arange(n)
-    lo = (packed[:w][j >> 6] >> (j & 63).astype(np.uint64)) & np.uint64(1)
-    hi = (packed[w:][j >> 6] >> (j & 63).astype(np.uint64)) & np.uint64(1)
-    return (lo | (hi << np.uint64(1))).astype(np.uint8)
+def _information_sets(gens: np.ndarray, n: int) -> list[tuple[np.ndarray, int]]:
+    """Generator matrices systematic on disjoint column sets, with their ranks.
 
-
-def _scale_codes(s: int, codes: np.ndarray) -> np.ndarray:
-    return _MUL[s, codes]
-
-
-def _projective_labels(h: int):
-    """Coefficient vectors over GF(4)^h whose first nonzero entry is 1.
-
-    One representative per scalar class of nonzero vectors; there are
-    (4^h - 1) / 3 of them.
+    Each matrix reduces the generators on the columns no earlier set used,
+    so its first `rank` rows form an identity on its own set and the other
+    rows vanish there.
     """
-    for p in range(h):
-        for tail in itertools.product(range(4), repeat=h - 1 - p):
-            yield (0,) * p + (1,) + tail
+    sets = []
+    free = list(range(n))
+    while free:
+        order = free + sorted(set(range(gens.shape[1])) - set(free))
+        reduced, pivots = _rref_codes(gens[:, order])
+        rank = sum(p < len(free) for p in pivots)
+        if rank == 0:
+            break
+        sets.append((reduced[:, np.argsort(order)], rank))
+        used = {order[p] for p in pivots[:rank]}
+        free = [c for c in free if c not in used]
+    return sets
 
 
-class _Gf4Scan:
-    """Shared data for scanning the nontrivial cycles of one operator."""
+def _extend(gens: np.ndarray, scalars: tuple[int, ...], table):
+    """The table of combinations with one more generator than `table`.
 
-    def __init__(self, d: Gf4Boundary):
-        self.n = d.m
-        self.codes = d.delta.to_codes()
-        self.words = max(1, (self.n + 63) >> 6)
-        self.im_rows = gf4_image(d.delta)
-        ker_rows = gf4_kernel(d.delta)
-        self.hom_rows = _extend_rows(self.im_rows, ker_rows)
-        order = sorted(
-            range(self.im_rows.shape[0]),
-            key=lambda i: (gf4_weight(self.im_rows[i]), i),
-        )
-        gens = []
-        for i in order:
-            gens.append(_pack_codes(self.im_rows[i]))
-            gens.append(_pack_codes(_scale_codes(2, self.im_rows[i])))
-        self.gens = (
-            np.array(gens, dtype=np.uint64)
-            if gens
-            else np.zeros((0, 2 * self.words), dtype=np.uint64)
-        )
-        self.nlo = min(len(gens), _LO_BITS)
-        self.nhi = len(gens) - self.nlo
-        self.table = self._subset_table(self.gens[: self.nlo])
-
-    def _subset_table(self, lo_gens: np.ndarray) -> np.ndarray:
-        table = np.zeros((1 << len(lo_gens), 2 * self.words), dtype=np.uint64)
-        size = 1
-        for g in lo_gens:
-            np.bitwise_xor(table[:size], g, out=table[size : 2 * size])
-            size *= 2
-        return table
-
-    def coset_rep(self, coeffs: tuple[int, ...]) -> np.ndarray:
-        rep = np.zeros(self.n, dtype=np.uint8)
-        for c, row in zip(coeffs, self.hom_rows):
-            if c:
-                rep ^= _scale_codes(c, row)
-        return _pack_codes(rep)
-
-    def _weights(self, arr: np.ndarray) -> np.ndarray:
-        w = self.words
-        merged = arr[:, :w] | arr[:, w:]
-        if w == 1:
-            return np.bitwise_count(merged[:, 0])
-        return np.bitwise_count(merged).sum(axis=1, dtype=np.uint16)
-
-    def _weight_one(self, packed: np.ndarray) -> int:
-        w = self.words
-        return int(np.bitwise_count(packed[:w] | packed[w:]).sum())
-
-    def _lex_key(self, packed: np.ndarray) -> bytes:
-        return _unpack_codes(packed, self.n).tobytes()
-
-    def _advance(self, base: np.ndarray, t: int, t_prev: int | None) -> np.ndarray:
-        if t_prev is None:
-            gray = t ^ (t >> 1)
-            for i in range(self.nhi):
-                if (gray >> i) & 1:
-                    base = base ^ self.gens[self.nlo + i]
-        else:
-            flip = (t & -t).bit_length() - 1
-            base = base ^ self.gens[self.nlo + flip]
-        return base
-
-    def scan_chunk(self, coeffs: tuple[int, ...], t_start: int, t_stop: int):
-        """Exact (weight, lex-key, vector) minimum over part of one coset."""
-        base = self._advance(self.coset_rep(coeffs), t_start, None)
-        arr = np.empty_like(self.table)
-        best_w, best_key, best_vec = None, None, None
-        for t in range(t_start, t_stop):
-            if t != t_start:
-                base = self._advance(base, t, t - 1)
-            np.bitwise_xor(self.table, base, out=arr)
-            weights = self._weights(arr)
-            bm = int(weights.min())
-            if best_w is None or bm <= best_w:
-                for cand in arr[weights == bm]:
-                    key = self._lex_key(cand)
-                    if best_w is None or bm < best_w or key < best_key:
-                        best_w, best_key, best_vec = bm, key, cand.copy()
-        return best_w, best_key, best_vec
-
-    def scan_chunk_bounded(self, coeffs: tuple[int, ...], bound: int):
-        """First vector of weight <= bound in scan order over a coset, or None."""
-        base = self.coset_rep(coeffs)
-        arr = np.empty_like(self.table)
-        for t in range(1 << self.nhi):
-            if t:
-                base = self._advance(base, t, t - 1)
-            np.bitwise_xor(self.table, base, out=arr)
-            weights = self._weights(arr)
-            hits = weights <= bound
-            if hits.any():
-                return arr[int(np.argmax(hits))].copy()
-        return None
-
-    def greedy_descent(self, packed: np.ndarray) -> tuple[np.ndarray, int]:
-        """Deterministic local weight descent within one coset.
-
-        Repeatedly adds the first generator that strictly lowers the weight
-        until none does.  Cheap, and often lands on or near the coset
-        minimum long before the exhaustive walk would reach it.
-        """
-        cur = packed.copy()
-        w = self._weight_one(cur)
-        improved = True
-        while improved:
-            improved = False
-            for g in self.gens:
-                cand = cur ^ g
-                cw = self._weight_one(cand)
-                if cw < w:
-                    cur, w = cand, cw
-                    improved = True
-        return cur, w
+    A table holds every combination of s generators with coefficients from
+    `scalars` as a column, ordered by lowest generator descending, together
+    with `starts[i]`, the number of leading columns whose lowest generator
+    is at least i.
+    """
+    vecs, starts = table
+    k = len(gens)
+    blocks = [
+        vecs[:, : starts[i + 1]] ^ _MUL[s, gens[i]][:, None]
+        for i in range(k - 1, -1, -1)
+        for s in scalars
+    ]
+    sizes = np.cumsum([len(scalars) * starts[i + 1] for i in range(k - 1, -1, -1)])
+    return np.concatenate(blocks, axis=1), [*sizes[::-1].tolist(), 0]
 
 
-def _check_budget(d: Gf4Boundary, budget: int) -> None:
-    if d.hom_dim == 0:
+def _round(gens: np.ndarray, t: int, scalars: tuple[int, ...], tables: list):
+    """Every combination of exactly t generators whose first coefficient is 1.
+
+    The last s generators of a combination come from the largest cached
+    table that fits in _TABLE_BYTES and the first t - s are looped over, so
+    the blocks yielded, one combination per column, stay near that size.
+    """
+    k, width = gens.shape
+    s = 0
+    while s < t - 1 and math.comb(k, s + 1) * len(scalars) ** (s + 1) * width <= _TABLE_BYTES:
+        s += 1
+    while len(tables) <= s:
+        tables.append(_extend(gens, scalars, tables[-1]))
+    vecs, starts = tables[s]
+    total = math.comb(k, t) * len(scalars) ** (t - 1)
+    buf = np.empty((width, min(total, max(1, _TABLE_BYTES // width))), dtype=np.uint8)
+    used = 0
+    for rows in itertools.combinations(range(k), t - s):
+        tail = vecs[:, : starts[rows[-1] + 1]]
+        for coeffs in itertools.product(scalars, repeat=t - s - 1):
+            head = gens[rows[0]].copy()
+            for c, r in zip(coeffs, rows[1:]):
+                head ^= _MUL[c, gens[r]]
+            if used + tail.shape[1] > buf.shape[1]:
+                yield buf[:, :used]
+                used = 0
+            np.bitwise_xor(tail, head[:, None], out=buf[:, used : used + tail.shape[1]])
+            used += tail.shape[1]
+    if used:
+        yield buf[:, :used]
+
+
+def _fold(block: np.ndarray, n: int, cut: int, best: np.ndarray | None):
+    """Merge a block into the running (weight, lex)-least nontrivial cycle.
+
+    `cut` is the weight of `best`, or the weight limit while there is none.
+    Each candidate is scaled so that its first nonzero entry is 1.
+    """
+    weights = (block[:n] != 0).view(np.uint8).sum(axis=0, dtype=np.int32)
+    hit = (weights <= cut) & block[n:].any(axis=0)
+    if not hit.any():
+        return cut, best
+    w = int(weights[hit].min())
+    cands = block[:n, hit & (weights == w)].T
+    lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
+    cands = _MUL[_INV[lead][:, None], cands]
+    cand = cands[np.lexsort(cands.T[::-1])[0]]
+    if best is None or w < cut or cand.tobytes() < best.tobytes():
+        return w, cand
+    return cut, best
+
+
+def min_cycle(
+    a: np.ndarray, scalars: tuple[int, ...], budget: int, limit: int | None = None
+) -> np.ndarray | None:
+    """The (weight, lex)-least nontrivial cycle of weight <= limit, or None.
+
+    `a` is a code matrix; cycles are ker(a) and trivial cycles im(a), and a
+    cycle stands for its scalar multiples through the one whose first
+    nonzero entry is 1.  Round t enumerates, on every information set j of
+    rank r_j, each combination of t generators, after which an unseen cycle
+    weighs at least sum_j max(0, t + 1 - (k - r_j)).  Rounds run until that
+    bound exceeds the best weight found (or `limit`, default the length),
+    so every lightest cycle has been seen.  A set joins once its term turns
+    positive and then catches up on the rounds it skipped.  BudgetError is
+    raised before a round that would take the count of vectors visited past
+    `budget`; the witness is checked before it is returned.
+    """
+    n = a.shape[1]
+    gens = _kernel_codes(a)
+    syndromes = _matmul_codes(gens, _CONJ[_kernel_codes(_CONJ[a.T])].T)
+    syndromes = syndromes[:, _rref_codes(syndromes)[1]]
+    if syndromes.shape[1] == 0:
         raise NoLogicalsError("operator has no homology; distance is undefined")
-    steps = 4 ** (d.rank + d.hom_dim)
-    if steps > budget:
-        raise BudgetError(
-            f"exhaustive search needs 4^{d.rank + d.hom_dim} = {steps} steps, "
-            f"which exceeds the budget of {budget}; raise the budget to at least {steps}"
-        )
+    rows = np.hstack([gens, syndromes])
+    sets = _information_sets(rows, n)
+    k = len(gens)
+    tables = [[(np.zeros((rows.shape[1], 1), dtype=np.uint8), [1] * (k + 1))] for _ in sets]
+    done = [0] * len(sets)
+    cut, best, visited = n if limit is None else limit, None, 0
+    for t in range(1, k + 1):
+        if sum(max(0, t - k + r) for _, r in sets) > cut:
+            break
+        todo = [
+            (j, u)
+            for j, (_, r) in enumerate(sets)
+            if r >= k - t
+            for u in range(done[j] + 1, t + 1)
+        ]
+        visited += sum(math.comb(k, u) * len(scalars) ** (u - 1) for _, u in todo)
+        if visited > budget:
+            raise BudgetError(
+                f"search needs {visited} vectors through round {t}, which exceeds "
+                f"the budget of {budget}; raise the budget to at least {visited}"
+            )
+        for j, u in todo:
+            done[j] = u
+            for block in _round(sets[j][0], u, scalars, tables[j]):
+                cut, best = _fold(block, n, cut, best)
+    if best is not None:
+        check_witness(a, best, cut)
+    return best
 
 
-def _verify_witness(
-    codes: np.ndarray, im_rows: np.ndarray, witness: np.ndarray, weight: int
-) -> None:
+def check_witness(a: np.ndarray, witness: np.ndarray, weight: int) -> None:
+    """Raise WitnessError unless `witness` is a cycle of `a` outside im(a) of this weight."""
     if gf4_weight(witness) != weight:
         raise WitnessError(f"witness has weight {gf4_weight(witness)}, not {weight}")
-    if _matvec_codes(codes, witness).any():
+    if _matmul_codes(a, witness[:, None]).any():
         raise WitnessError("witness is not a cycle")
-    if _in_row_span(im_rows, witness):
+    if _in_row_span(_row_space_codes(a.T), witness):
         raise WitnessError("witness is a trivial cycle")
 
 
@@ -682,128 +662,36 @@ def gf4_verify_witness(d: Gf4Boundary, witness) -> int:
     if v.size != d.m:
         raise DimensionError(f"witness has length {v.size}, operator has m={d.m}")
     weight = gf4_weight(v)
-    _verify_witness(d.delta.to_codes(), gf4_image(d.delta), v, weight)
+    check_witness(d.delta.to_codes(), v, weight)
     return weight
 
 
 def gf4_distance(
     d: Gf4Boundary, budget: int = DEFAULT_BUDGET, threads: int = 1
 ) -> Gf4DistanceResult:
-    """Exact minimum weight over ker(delta) \\ im(delta).
+    """Exact minimum weight over ker(delta) \\ im(delta), by `min_cycle`.
 
-    Enumerates one coset per projective homology class; scalar multiples
-    have equal weight, so the minimum is unaffected.  Work splits across
-    class labels and Gray-step ranges, and partial minima merge by
-    (weight, lexicographic codes), so results are thread-count independent.
-    Fails fast when 4^(rank + H) exceeds `budget`.
+    The witness is the lexicographically least lightest nontrivial cycle
+    whose first nonzero entry is 1.  `threads` is accepted for callers that
+    pass a thread count; the search runs on one thread, so results never
+    depend on it.
     """
     t0 = time.perf_counter()
-    _check_budget(d, budget)
-    scan = _Gf4Scan(d)
-    labels = list(_projective_labels(d.hom_dim))
-    hi_total = 1 << scan.nhi
-    chunks = 1
-    if threads > 1 and hi_total > 1:
-        chunks = min(hi_total, 1 << max(1, (threads - 1).bit_length()))
-    step = max(1, hi_total // chunks)
-    units = [
-        (coeffs, start, min(start + step, hi_total))
-        for coeffs in labels
-        for start in range(0, hi_total, step)
-    ]
-
-    if threads > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda u: scan.scan_chunk(*u), units))
-    else:
-        results = [scan.scan_chunk(*u) for u in units]
-
-    weight, _, vec = min(results, key=lambda r: (r[0], r[1]))
-    witness = _unpack_codes(vec, scan.n)
-    _verify_witness(scan.codes, scan.im_rows, witness, weight)
+    witness = min_cycle(d.delta.to_codes(), (1, 2, 3), budget)
     return Gf4DistanceResult(
-        d=weight,
+        d=gf4_weight(witness),
         witness=witness,
-        cosets_scanned=len(labels),
+        cosets_scanned=(4**d.hom_dim - 1) // 3,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def _bounded_steps(kdim: int, bound: int) -> int:
-    return sum(math.comb(kdim, t) * 3**t for t in range(1, min(bound, kdim) + 1))
-
-
-def _support_witness(d: Gf4Boundary, bound: int) -> np.ndarray | None:
-    """Exhaustive search for a nontrivial cycle of weight <= bound.
-
-    Works in kernel coordinates: the canonical kernel basis carries one
-    unit free coordinate per vector, so any cycle of weight <= bound has at
-    most `bound` nonzero coefficients over it.  Supports are enumerated in
-    ascending size then lexicographic order, coefficient grids {1,w,W}^t in
-    a fixed mixed-radix order, and the first qualifying vector outside
-    im(delta) is returned.  A None return is a proof that d > bound.
-    """
-    ker = gf4_kernel(d.delta)
-    kdim = ker.shape[0]
-    if kdim == 0 or bound <= 0:
-        return None
-    im_rows = gf4_image(d.delta)
-    words = max(1, (d.m + 63) >> 6)
-    scaled = np.zeros((kdim, 3, 2 * words), dtype=np.uint64)
-    for i in range(kdim):
-        for c in (1, 2, 3):
-            scaled[i, c - 1] = _pack_codes(_scale_codes(c, ker[i]))
-    for t in range(1, min(bound, kdim) + 1):
-        for support in itertools.combinations(range(kdim), t):
-            arr = scaled[support[0]]
-            for i in support[1:]:
-                arr = (arr[:, None, :] ^ scaled[i][None, :, :]).reshape(-1, 2 * words)
-            merged = arr[:, :words] | arr[:, words:]
-            if words == 1:
-                weights = np.bitwise_count(merged[:, 0])
-            else:
-                weights = np.bitwise_count(merged).sum(axis=1, dtype=np.uint32)
-            for idx in np.flatnonzero(weights <= bound):
-                v = _unpack_codes(arr[idx], d.m)
-                if not _in_row_span(im_rows, v):
-                    return v
-    return None
 
 
 def gf4_distance_upper_bound(
     d: Gf4Boundary, bound: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray | None:
-    """First nontrivial cycle of weight <= bound found, if any.
+    """The least nontrivial cycle of weight <= bound, if any.
 
-    Projective cosets are first probed by greedy descent from each coset
-    representative and single-generator offset; failing that, every cycle
-    light enough to qualify is enumerated directly through its kernel
-    coordinates with early exit.  A None return means that enumeration
-    completed, so the distance exceeds `bound`.  The budget bounds the
-    enumeration's step count, which grows with dim(ker) and `bound` rather
-    than with the full sweep size.
+    A None return is a proof that the distance exceeds `bound`: the search
+    stops only once every cycle that light has been seen.
     """
-    if d.hom_dim == 0:
-        raise NoLogicalsError("operator has no homology; distance is undefined")
-    if bound <= 0:
-        return None
-    steps = _bounded_steps(d.m - d.rank, bound)
-    if steps > budget:
-        raise BudgetError(
-            f"bounded search needs {steps} steps, which exceeds the budget of "
-            f"{budget}; raise the budget to at least {steps}"
-        )
-    scan = _Gf4Scan(d)
-    for coeffs in _projective_labels(d.hom_dim):
-        rep = scan.coset_rep(coeffs)
-        for start in [rep] + [rep ^ g for g in scan.gens]:
-            cand, w = scan.greedy_descent(start)
-            if w <= bound:
-                witness = _unpack_codes(cand, scan.n)
-                _verify_witness(scan.codes, scan.im_rows, witness, w)
-                return witness
-    witness = _support_witness(d, bound)
-    if witness is not None:
-        _verify_witness(scan.codes, scan.im_rows, witness, gf4_weight(witness))
-        return witness
-    return None
+    return min_cycle(d.delta.to_codes(), (1, 2, 3), budget, bound)

@@ -108,13 +108,3 @@ def logical_basis(p: ProductComplex) -> Basis:
         raise AssertionError("logical representatives are dependent modulo the image")
     return Basis(reps)
 
-
-def vector_as_matrix(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Reshape a product-space vector into its n1 x n2 dense matrix form."""
-    return vector_to_bits(v, n1 * n2).reshape(n1, n2)
-
-
-def matrix_as_vector(mat: np.ndarray) -> np.ndarray:
-    """Pack an n1 x n2 dense 0/1 matrix into a product-space vector."""
-    flat = np.asarray(mat, dtype=np.uint8).reshape(1, -1)
-    return BitMatrix.from_dense(flat).data[0]

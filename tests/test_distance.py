@@ -1,18 +1,32 @@
 """Distance engine: oracle equivalence, determinism, bounds, budget."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homprod import BitMatrix, BudgetError, NoLogicalsError
+from homprod import BitMatrix, BudgetError, DimensionError, NoLogicalsError, WitnessError
 from homprod.complexes import BoundaryOperator, canonical_boundary, random_boundary
 from homprod.css import boundary_from_checks, steane_check_basis
-from homprod.distance import distance, distance_parallel, distance_upper_bound
-from homprod.gf2 import image_basis, kernel_basis, vector_to_bits, vector_weight
+from homprod.distance import distance, distance_parallel, distance_upper_bound, verify_witness
+from homprod.gf2 import (
+    image_basis,
+    kernel_basis,
+    vector_from_support,
+    vector_to_bits,
+    vector_weight,
+)
 from homprod.product import product
 
 
-def naive_min_nontrivial(mat: BitMatrix) -> int:
-    """Oracle: scan all kernel vectors, reject image members pointwise."""
+def naive_min_nontrivial(mat: BitMatrix) -> tuple[int, tuple]:
+    """Oracle: scan all kernel vectors, reject image members pointwise.
+
+    Returns the minimum weight and the lexicographically least coordinate
+    sequence among the nontrivial cycles of that weight.
+    """
     ker = kernel_basis(mat)
     im = image_basis(mat)
     im_set = set()
@@ -30,10 +44,22 @@ def naive_min_nontrivial(mat: BitMatrix) -> int:
                 acc = acc ^ ker.vectors[i]
         if acc.tobytes() in im_set:
             continue
-        w = vector_weight(acc)
-        if best is None or w < best:
-            best = w
+        cand = (vector_weight(acc), tuple(vector_to_bits(acc, mat.cols).tolist()))
+        if best is None or cand < best:
+            best = cand
     return best
+
+
+def found(witness, n: int) -> tuple[int, tuple]:
+    return vector_weight(witness), tuple(vector_to_bits(witness, n).tolist())
+
+
+def assert_matches_oracle(d: BoundaryOperator):
+    res = distance(d)
+    assert found(res.witness_z, d.m) == naive_min_nontrivial(d.matrix)
+    assert found(res.witness_x, d.m) == naive_min_nontrivial(d.matrix.transpose())
+    assert (res.d_z, res.d_x) == (vector_weight(res.witness_z), vector_weight(res.witness_x))
+    return res
 
 
 def test_steane_distance():
@@ -52,11 +78,15 @@ def test_matches_oracle_on_random_instances():
         h = int(rng.integers(1, m + 1))
         if (m - h) % 2:
             continue
-        d = random_boundary(m, h, rng)
-        res = distance(d)
-        assert res.d_z == naive_min_nontrivial(d.matrix)
-        assert res.d_x == naive_min_nontrivial(d.matrix.transpose())
+        assert_matches_oracle(random_boundary(m, h, rng))
         done += 1
+
+
+def test_matches_oracle_when_information_sets_join_late():
+    # with H = 2 the second information set has rank at most k - 2, so it
+    # joins the search in round 2 and must first catch up on round 1
+    for seed in range(30):
+        assert_matches_oracle(random_boundary(16, 2, np.random.default_rng(seed)))
 
 
 def test_matches_oracle_on_small_products():
@@ -64,10 +94,7 @@ def test_matches_oracle_on_small_products():
     for _ in range(10):
         d1 = random_boundary(3, 1, rng)
         d2 = random_boundary(4, 2, rng)
-        p = product(d1, d2).partial
-        res = distance(p)
-        assert res.d_z == naive_min_nontrivial(p.matrix)
-        assert res.d_x == naive_min_nontrivial(p.matrix.transpose())
+        assert_matches_oracle(product(d1, d2).partial)
 
 
 def test_distance_sandwich_on_products():
@@ -103,9 +130,12 @@ def test_no_logicals_error():
 
 
 def test_budget_error_mentions_requirement():
-    d = canonical_boundary(2, 2)  # rank 2, H 2 -> 2^4 steps
-    with pytest.raises(BudgetError, match="2\\^4"):
-        distance(d, budget=8)
+    d = canonical_boundary(2, 2)
+    with pytest.raises(BudgetError, match=r"at least \d+") as err:
+        distance(d, budget=1)
+    need = int(re.search(r"at least (\d+)", str(err.value)).group(1))
+    assert need > 1
+    assert distance(d, budget=need).d_z == distance(d).d_z == 1
 
 
 def test_upper_bound_modes():
@@ -166,3 +196,51 @@ def test_multiword_upper_bound_path():
     assert big.m == 65 and big.hom_dim == 1
     w = distance_upper_bound(big, 3, budget=1 << 34)
     assert w is not None and vector_weight(w) <= 3
+
+
+def test_witness_verification_rejects_non_cycles_and_trivial_cycles():
+    d = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
+    logical = distance(d).witness_z
+    assert verify_witness(d, logical) == 3
+    non_cycle = vector_from_support(7, [0])
+    assert ((d.matrix.to_dense() @ vector_to_bits(non_cycle, 7)) % 2).any()
+    with pytest.raises(WitnessError, match="not a cycle"):
+        verify_witness(d, non_cycle)
+    stabilizer = steane_check_basis().vectors[0]
+    with pytest.raises(WitnessError, match="trivial cycle"):
+        verify_witness(d, stabilizer)
+    with pytest.raises(DimensionError):
+        verify_witness(d, np.zeros(2, dtype=np.uint64))
+
+
+@st.composite
+def operators(draw, max_m=10):
+    m = draw(st.integers(1, max_m))
+    h = draw(st.sampled_from([h for h in range(1, m + 1) if (m - h) % 2 == 0]))
+    return random_boundary(m, h, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(operators())
+def test_engine_matches_naive_enumeration(d):
+    res = assert_matches_oracle(d)
+    assert distance_upper_bound(d, res.d_z - 1) is None
+    assert np.array_equal(distance_upper_bound(d, res.d_z), res.witness_z)
+
+
+@settings(max_examples=15, deadline=None)
+@given(operators(max_m=8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_direct_sum_with_homology_free_block_pads_the_witness(small, small_first, seed):
+    # past 64 coordinates, where vectors take two words: the summand without
+    # homology adds no cycle classes, so the small operator's witnesses stand
+    big = random_boundary(66 - small.m - small.m % 2, 0, np.random.default_rng(seed))
+    blocks = (small.matrix, big.matrix) if small_first else (big.matrix, small.matrix)
+    summed = BoundaryOperator(direct_sum(*blocks))
+    assert summed.m > 64
+    res, ref = distance(summed), distance(small)
+    assert (res.d_z, res.d_x) == (ref.d_z, ref.d_x)
+    offset = 0 if small_first else big.m
+    for got, want in ((res.witness_z, ref.witness_z), (res.witness_x, ref.witness_x)):
+        padded = np.zeros(summed.m, dtype=np.uint8)
+        padded[offset : offset + small.m] = vector_to_bits(want, small.m)
+        assert np.array_equal(vector_to_bits(got, summed.m), padded)

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homprod.errors import (
     BudgetError,
@@ -20,7 +22,6 @@ from homprod.errors import (
     WitnessError,
 )
 from homprod.gf2 import BitMatrix
-from homprod import gf4 as gf4mod
 from homprod.gf4 import (
     OMEGA,
     OMEGA2,
@@ -105,7 +106,12 @@ def singleton_boundary(symbols):
 
 
 def naive_min_nontrivial(d):
-    """Full enumeration of the kernel, minimum weight outside the image."""
+    """Full enumeration of the kernel, minimum weight outside the image.
+
+    Returns the minimum weight and, among the nontrivial cycles of that
+    weight scaled to a leading 1, the lexicographically least code tuple.
+    The image test is skipped only for vectors heavier than the best so far.
+    """
     ker = gf4_kernel(d.delta)
     im = gf4_image(d.delta)
     best = None
@@ -115,12 +121,32 @@ def naive_min_nontrivial(d):
             v = ADD[v, MUL[c, row]]
         if not v.any():
             continue
+        w = gf4_weight(v)
+        if best is not None and w > best[0]:
+            continue
         if doubled_gf2_rank(np.vstack([im, v[None, :]])) == im.shape[0]:
             continue
-        w = gf4_weight(v)
-        if best is None or w < best:
-            best = w
+        lead = v[np.flatnonzero(v)[0]]
+        inverse = next(s for s in range(1, 4) if MUL[s, lead] == 1)
+        cand = (w, tuple(MUL[inverse, v].tolist()))
+        if best is None or cand < best:
+            best = cand
     return best
+
+
+def found(witness):
+    return gf4_weight(witness), tuple(np.asarray(witness).tolist())
+
+
+def random_gf4_boundary(rng, m, checks):
+    """delta = A A* for random independent, mutually orthogonal check vectors."""
+    basis = []
+    while len(basis) < checks:
+        v = random_codes(rng, 1, m)[0]
+        trial = basis + [v]
+        if is_self_orthogonal(trial) and doubled_gf2_rank(np.array(trial)) == len(trial):
+            basis = trial
+    return gf4_boundary_from_checks(basis, Gf4Matrix.identity(checks), ambient_dim=m)
 
 
 # -- field laws ---------------------------------------------------------------
@@ -515,16 +541,33 @@ def test_distance_matches_naive_enumeration():
     for u in enumerate_selfadjoint_invertible(2):
         cases.append(gf4_boundary_from_checks(five_qubit_check_basis(), u))
     for d in cases:
-        assert gf4_distance(d).d == naive_min_nontrivial(d)
+        r = gf4_distance(d)
+        assert found(r.witness) == naive_min_nontrivial(d) and r.d == gf4_weight(r.witness)
 
 
-def test_distance_with_forced_gray_walk(monkeypatch):
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_engine_matches_naive_enumeration_on_random_operators(m, data):
+    checks = data.draw(st.integers(max(0, m - 5), (m - 1) // 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = random_gf4_boundary(rng, m, checks)
+    assert d.hom_dim == m - 2 * checks
+    r = gf4_distance(d)
+    assert found(r.witness) == naive_min_nontrivial(d)
+    assert gf4_distance_upper_bound(d, r.d - 1) is None
+    assert np.array_equal(gf4_distance_upper_bound(d, r.d), r.witness)
+
+
+def test_mixed_product_exact_distance():
+    # 35 qubits, 18 kernel generators: the last round is too large for one
+    # cached table, so it is enumerated as prefixes over a smaller one
     d5 = gf4_boundary_from_checks(five_qubit_check_basis(), Gf4Matrix.identity(2))
-    full = gf4_distance(d5)
-    monkeypatch.setattr(gf4mod, "_LO_BITS", 2)
-    walked = gf4_distance(d5)
-    assert walked.d == full.d
-    assert np.array_equal(walked.witness, full.witness)
+    d7 = gf4_boundary_from_checks(steane_gf4_check_basis(), Gf4Matrix.identity(3))
+    p = gf4_product(d5, d7)
+    r = gf4_distance(p)
+    assert (p.m, p.hom_dim, r.d) == (35, 1, 9)
+    assert gf4_verify_witness(p, r.witness) == 9
+    assert gf4_distance_upper_bound(p, 8) is None
 
 
 def test_distance_is_thread_count_independent():
@@ -547,7 +590,8 @@ def test_distance_scans_projective_cosets_only():
     assert d.hom_dim == 2
     r = gf4_distance(d)
     assert r.cosets_scanned == 5
-    assert r.d == naive_min_nontrivial(d) == 3
+    assert found(r.witness) == naive_min_nontrivial(d)
+    assert r.d == 3
 
 
 def test_scalar_multiples_preserve_weight():
@@ -608,12 +652,7 @@ def test_upper_bound_agrees_with_exact_distance():
                 assert wit is not None and 1 <= gf4_weight(wit) <= bound
 
 
-def test_upper_bound_support_path_finds_witnesses(monkeypatch):
-    # disable the greedy pre-pass so the kernel-coordinate enumeration
-    # must produce the witness on its own
-    monkeypatch.setattr(
-        gf4mod._Gf4Scan, "greedy_descent", lambda self, packed: (packed, 10**6)
-    )
+def test_upper_bound_finds_witnesses_at_the_distance():
     d5 = gf4_boundary_from_checks(five_qubit_check_basis(), Gf4Matrix.identity(2))
     p = gf4_product(d5, d5)
     wit = gf4_distance_upper_bound(p, 5)
@@ -622,16 +661,6 @@ def test_upper_bound_support_path_finds_witnesses(monkeypatch):
     assert not naive_matmul(codes, wit[:, None]).any()
     im = gf4_image(p.delta)
     assert doubled_gf2_rank(np.vstack([im, wit[None, :]])) == im.shape[0] + 1
-
-
-def test_bounded_coset_sweep_primitive_agrees():
-    d5 = gf4_boundary_from_checks(five_qubit_check_basis(), Gf4Matrix.identity(2))
-    scan = gf4mod._Gf4Scan(d5)
-    assert scan.scan_chunk_bounded((1,), 2) is None
-    hit = scan.scan_chunk_bounded((1,), 3)
-    assert hit is not None
-    v = gf4mod._unpack_codes(hit, 5)
-    assert gf4_weight(v) == 3
 
 
 def test_witness_verification_rejects_non_cycles_and_trivial_cycles():
