@@ -2,17 +2,14 @@
 weight reduction, GF(4) mirrors, reproduction experiments, and Monte-Carlo runs.
 
 Every subcommand takes `--json` for structured output.  Randomized commands
-take `--seed` (default 1105).  Thread counts resolve from `--threads`, then
-the HOMPROD_THREADS environment variable, then available parallelism.
-`reproduce` exits 0 exactly when the report passed; parse and usage
-problems exit 2.
+take `--seed` (default 1105).  `reproduce` exits 0 exactly when the report
+passed; parse and usage problems exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +18,7 @@ import numpy as np
 from .complexes import random_boundary
 from .counting import count_extensions, count_kernel_by_rank, count_rank_matrices, gamma_count
 from .circuits import factor_encoder, verify_encoder
-from .distance import DEFAULT_BUDGET, distance_parallel
+from .distance import DEFAULT_BUDGET, distance
 from .errors import HomprodError
 from .experiments import (
     DEFAULT_SEED,
@@ -35,7 +32,6 @@ from .experiments import (
 )
 from .gf2 import vector_to_bits
 from .gf4 import (
-    DEFAULT_BUDGET as GF4_DEFAULT_BUDGET,
     Gf4Boundary,
     enumerate_selfadjoint_invertible,
     gf4_distance,
@@ -55,15 +51,6 @@ from .io import (
 )
 from .product import product
 from .reduction import reduce_weights
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HOMPROD_THREADS")
-    if env is not None and env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -113,7 +100,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_distance(args) -> int:
     d = parse_boundary(Path(args.file).read_text())
-    r = distance_parallel(d, _threads(args), args.budget)
+    r = distance(d, args.budget)
     payload = {
         "d_z": r.d_z,
         "d_x": r.d_x,
@@ -203,7 +190,7 @@ def _cmd_gf4_product(args) -> int:
 
 def _cmd_gf4_distance(args) -> int:
     d = Gf4Boundary(parse_gf4_matrix(Path(args.file).read_text()))
-    r = gf4_distance(d, budget=args.budget, threads=_threads(args))
+    r = gf4_distance(d, budget=args.budget)
     payload = {
         "d": r.d,
         "witness": vector_symbols(r.witness),
@@ -256,11 +243,11 @@ def _cmd_gf4_enumerate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.name == "steane-css-params":
-        report = steane_css_params(threads=_threads(args))
+        report = steane_css_params()
     elif args.name == "steane-squared":
-        report = steane_squared(threads=_threads(args))
+        report = steane_squared()
     elif args.name == "fivequbit-squared":
-        report = fivequbit_squared(threads=_threads(args))
+        report = fivequbit_squared()
     else:
         report = steane_by_fivequbit(seed=args.seed)
     verdict = "PASS" if report.passed else "FAIL"
@@ -310,12 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="homprod", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, output=False, threads=False, seed=False, budget=None):
+    def common(p, output=False, seed=False, budget=None):
         p.add_argument("--json", action="store_true", help="structured JSON output")
         if output:
             p.add_argument("-o", "--output", default=None, help="write result to this file")
-        if threads:
-            p.add_argument("--threads", type=int, default=None, help="worker thread count")
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
         if budget is not None:
@@ -335,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="exact d_z and d_x of a boundary operator")
     p.add_argument("file")
-    common(p, threads=True, budget=DEFAULT_BUDGET)
+    common(p, budget=DEFAULT_BUDGET)
     p.set_defaults(run=_cmd_distance)
 
     p = sub.add_parser("count", help="exact matrix-counting formulas")
@@ -369,13 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = gf4sub.add_parser("distance", help="exact GF(4) distance")
     p.add_argument("file")
-    common(p, threads=True, budget=GF4_DEFAULT_BUDGET)
+    common(p, budget=DEFAULT_BUDGET)
     p.set_defaults(run=_cmd_gf4_distance)
 
     p = gf4sub.add_parser("bound", help="early-exit search for a light nontrivial cycle")
     p.add_argument("file")
     p.add_argument("bound", type=int)
-    common(p, budget=GF4_DEFAULT_BUDGET)
+    common(p, budget=DEFAULT_BUDGET)
     p.set_defaults(run=_cmd_gf4_bound)
 
     p = gf4sub.add_parser("enumerate", help="all invertible self-adjoint m x m matrices")
@@ -385,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rerun a recorded experiment and compare")
     p.add_argument("name", choices=tuple(MANIFEST))
-    common(p, threads=True, seed=True)
+    common(p, seed=True)
     p.set_defaults(run=_cmd_reproduce)
 
     p = sub.add_parser("montecarlo", help="randomized boundary-operator statistics")

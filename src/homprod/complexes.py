@@ -150,11 +150,6 @@ def random_boundary(m: int, h: int, rng: np.random.Generator) -> BoundaryOperato
     return BoundaryOperator(u @ delta0 @ inverse(u))
 
 
-def homological_dimension(d: BoundaryOperator) -> int:
-    """dim ker - dim im, which equals M - 2 rank."""
-    return d.hom_dim
-
-
 def homology_representatives(d: BoundaryOperator) -> list[np.ndarray]:
     """Kernel vectors extending an image basis to a kernel basis.
 

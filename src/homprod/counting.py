@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import BoundaryOperator, canonical_boundary, reduced_boundary
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, InvariantError, ParameterError
 from .gf2 import BitMatrix, kernel_basis, vector_to_bits
 from .product import product
 
@@ -63,7 +63,8 @@ def count_rank_matrices(a: int, b: int, r: int) -> ExactCount:
     for i in range(r):
         num *= (1 << b) - (1 << i)
     den = _gl_order(r)
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"|GL({r})| = {den} does not divide the pair count {num}")
     value = num // den
     if value > 1 << (r * (a + b) - r * r + 2):
         logger.warning("rank count %s exceeds its asymptotic envelope", params)

@@ -48,17 +48,6 @@ def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResul
     the transposed operator.  Raises BudgetError before a search round
     that would visit more than `budget` vectors.
     """
-    return distance_parallel(d, 1, budget)
-
-
-def distance_parallel(
-    d: BoundaryOperator, threads: int, budget: int = DEFAULT_BUDGET
-) -> DistanceResult:
-    """Same result as `distance` for every thread count.
-
-    `threads` is accepted for callers that pass a thread count; the search
-    runs on one thread.
-    """
     t0 = time.perf_counter()
     wit_z = _min_cycle(d.matrix, budget)
     wit_x = _min_cycle(d.matrix.transpose(), budget)
@@ -70,6 +59,17 @@ def distance_parallel(
         cosets_scanned=2 * ((1 << d.hom_dim) - 1),
         wall_time=time.perf_counter() - t0,
     )
+
+
+def distance_parallel(
+    d: BoundaryOperator, threads: int, budget: int = DEFAULT_BUDGET
+) -> DistanceResult:
+    """`distance(d, budget)`; `threads` is ignored.
+
+    Kept only because the benchmark (`perfbench/workloads.py`) calls it
+    with a thread count; the search runs on one thread.
+    """
+    return distance(d, budget)
 
 
 def distance_upper_bound(

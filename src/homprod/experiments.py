@@ -7,7 +7,7 @@ description so the violated claim is named without external context.
 
 Randomized experiments default to seed 1105.  Rerunning any experiment
 with the seed recorded in its report reproduces the report bit-exactly
-apart from `wall_time` and the recorded `threads` value.
+apart from `wall_time`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .css import (
     stabilizer_weight,
     steane_check_basis,
 )
-from .distance import DEFAULT_BUDGET, distance_parallel
+from .distance import distance
 from .errors import BudgetError, ParameterError
 from .gf2 import BitMatrix, kernel_basis
 from .gf4 import (
@@ -93,7 +93,6 @@ class ExperimentReport:
     results: dict
     passed: bool
     seed: int | None
-    threads: int
     wall_time: float
 
     def to_dict(self) -> dict:
@@ -103,7 +102,6 @@ class ExperimentReport:
             "results": self.results,
             "pass": self.passed,
             "seed": self.seed,
-            "threads": self.threads,
             "wall_time": self.wall_time,
         }
 
@@ -111,31 +109,29 @@ class ExperimentReport:
         """Everything that a rerun with the same seed must reproduce."""
         out = self.to_dict()
         del out["wall_time"]
-        del out["threads"]
         return out
 
 
-def _report(name, params, results, passed, seed, threads, t0) -> ExperimentReport:
+def _report(name, params, results, passed, seed, t0) -> ExperimentReport:
     return ExperimentReport(
         name=name,
         params=params,
         results=results,
         passed=passed,
         seed=seed,
-        threads=threads,
         wall_time=time.perf_counter() - t0,
     )
 
 
-def steane_css_params(threads: int = 1) -> ExperimentReport:
+def steane_css_params() -> ExperimentReport:
     """Parameters and both distances of the 7-qubit base code."""
     t0 = time.perf_counter()
     d = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
     code = code_from_complex(d)
-    r = distance_parallel(d, threads)
+    r = distance(d)
     results = {"n": code.n, "k": code.k, "w": code.w, "d_z": r.d_z, "d_x": r.d_x}
     passed = results == MANIFEST["steane-css-params"]["expect"]
-    return _report("steane-css-params", {}, results, passed, None, threads, t0)
+    return _report("steane-css-params", {}, results, passed, None, t0)
 
 
 def _invertible_3x3() -> list[tuple[int, BitMatrix]]:
@@ -152,7 +148,7 @@ def _invertible_3x3() -> list[tuple[int, BitMatrix]]:
     return out
 
 
-def steane_squared(threads: int = 1, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
+def steane_squared() -> ExperimentReport:
     """Sweep the 49-qubit product over every invertible 3x3 U (V = identity)."""
     t0 = time.perf_counter()
     expect = MANIFEST["steane-squared"]["expect"]
@@ -165,7 +161,7 @@ def steane_squared(threads: int = 1, budget: int = DEFAULT_BUDGET) -> Experiment
         d_u = boundary_from_checks(basis, u)
         p = product(d_u, d_v).partial
         code = code_from_complex(p)
-        r = distance_parallel(p, threads, budget)
+        r = distance(p)
         d_code = min(r.d_z, r.d_x)
         symmetric = u == u.transpose()
         w = stabilizer_weight(code)
@@ -187,10 +183,10 @@ def steane_squared(threads: int = 1, budget: int = DEFAULT_BUDGET) -> Experiment
         "violations": violations,
     }
     passed = results["u_total"] == expect["u_total"] and not violations
-    return _report("steane-squared", {"budget": budget}, results, passed, None, threads, t0)
+    return _report("steane-squared", {}, results, passed, None, t0)
 
 
-def fivequbit_squared(threads: int = 1) -> ExperimentReport:
+def fivequbit_squared() -> ExperimentReport:
     """Sweep the 25-qubit product over all 100 (U, V) self-adjoint pairs."""
     t0 = time.perf_counter()
     expect = MANIFEST["fivequbit-squared"]["expect"]
@@ -205,7 +201,7 @@ def fivequbit_squared(threads: int = 1) -> ExperimentReport:
             p = gf4_product(d1, d2)
             w = max(p.delta.max_row_weight(), p.delta.max_column_weight())
             max_weight = max(max_weight, w)
-            r = gf4_distance(p, threads=threads)
+            r = gf4_distance(p)
             per_pair.append({"u": i, "v": j, "d": r.d})
             if (
                 p.m != expect["n"]
@@ -223,7 +219,7 @@ def fivequbit_squared(threads: int = 1) -> ExperimentReport:
         "violations": violations,
     }
     passed = results["pair_total"] == expect["pair_total"] and not violations
-    return _report("fivequbit-squared", {}, results, passed, None, threads, t0)
+    return _report("fivequbit-squared", {}, results, passed, None, t0)
 
 
 def steane_by_fivequbit(seed: int = DEFAULT_SEED) -> ExperimentReport:
@@ -305,7 +301,7 @@ def steane_by_fivequbit(seed: int = DEFAULT_SEED) -> ExperimentReport:
     }
     passed = bool(pairs) and not violations
     return _report(
-        "steane-by-fivequbit", {"pair_cap": _MIXED_PAIR_CAP}, results, passed, seed, 1, t0
+        "steane-by-fivequbit", {"pair_cap": _MIXED_PAIR_CAP}, results, passed, seed, t0
     )
 
 
@@ -390,9 +386,9 @@ def montecarlo(p: MonteCarloParams) -> ExperimentReport:
             not_good += 1
         if track_products:
             d2 = random_boundary(p.m, p.h, rng)
-            dp = distance_parallel(product(d1, d2).partial, 1).d_z
-            f1 = distance_parallel(d1, 1).d_z
-            f2 = distance_parallel(d2, 1).d_z
+            dp = distance(product(d1, d2).partial).d_z
+            f1 = distance(d1).d_z
+            f2 = distance(d2).d_z
             histogram[str(dp)] = histogram.get(str(dp), 0) + 1
             if not max(f1, f2) <= dp <= f1 * f2:
                 sandwich_violations += 1
@@ -403,6 +399,4 @@ def montecarlo(p: MonteCarloParams) -> ExperimentReport:
         "sandwich_violations": sandwich_violations,
     }
     passed = sandwich_violations == 0
-    return _report(
-        "montecarlo", p.to_dict(), results, passed, p.seed, 1, t0
-    )
+    return _report("montecarlo", p.to_dict(), results, passed, p.seed, t0)

@@ -247,11 +247,6 @@ def dot_parity(u: np.ndarray, v: np.ndarray) -> int:
     return int(np.bitwise_count(u & v).sum()) & 1
 
 
-def lex_key(v: np.ndarray, n: int) -> tuple:
-    """Sort key implementing lexicographic order on coordinates 0..n-1."""
-    return tuple(int(b) for b in vector_to_bits(v, n))
-
-
 # -- spans and bases ----------------------------------------------------------
 
 
@@ -313,10 +308,6 @@ def kernel_basis(mat: BitMatrix) -> Basis:
     return _echelon_basis(BitMatrix.from_dense(vectors)) if free else Basis(
         BitMatrix(0, mat.cols)
     )
-
-
-def rank(mat: BitMatrix) -> int:
-    return mat.rank()
 
 
 def in_span(v: np.ndarray, basis: Basis) -> bool:

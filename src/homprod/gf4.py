@@ -608,7 +608,10 @@ def min_cycle(
     """
     n = a.shape[1]
     gens = _kernel_codes(a)
-    syndromes = _matmul_codes(gens, _CONJ[_kernel_codes(_CONJ[a.T])].T)
+    # A self-adjoint a, such as every GF(4) delta, is its own a*.
+    adjoint = _CONJ[a.T]
+    dual = gens if np.array_equal(adjoint, a) else _kernel_codes(adjoint)
+    syndromes = _matmul_codes(gens, _CONJ[dual].T)
     syndromes = syndromes[:, _rref_codes(syndromes)[1]]
     if syndromes.shape[1] == 0:
         raise NoLogicalsError("operator has no homology; distance is undefined")
@@ -672,9 +675,9 @@ def gf4_distance(
     """Exact minimum weight over ker(delta) \\ im(delta), by `min_cycle`.
 
     The witness is the lexicographically least lightest nontrivial cycle
-    whose first nonzero entry is 1.  `threads` is accepted for callers that
-    pass a thread count; the search runs on one thread, so results never
-    depend on it.
+    whose first nonzero entry is 1.  `threads` is ignored: it is kept only
+    because the benchmark (`perfbench/workloads.py`) passes it, and the
+    search runs on one thread.
     """
     t0 = time.perf_counter()
     witness = min_cycle(d.delta.to_codes(), (1, 2, 3), budget)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import BoundaryOperator, homology_representatives
-from .errors import NoLogicalsError
+from .errors import InvariantError, NoLogicalsError
 from .gf2 import (
     Basis,
     BitMatrix,
@@ -105,6 +105,6 @@ def logical_basis(p: ProductComplex) -> Basis:
     )
     expected = im.dim + len(rows)
     if stacked.rank() != expected:
-        raise AssertionError("logical representatives are dependent modulo the image")
+        raise InvariantError("logical representatives are dependent modulo the image")
     return Basis(reps)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .css import CssCode, stabilizer_weight_of
-from .errors import ParameterError, PreconditionError
+from .errors import InvariantError, ParameterError, PreconditionError
 from .gf2 import BitMatrix, vector_to_bits
 
 
@@ -78,7 +78,7 @@ def _split(c: CssCode, stab: int, t1, primary: str) -> CssCode:
     a_z, a_x = (split_bm, other_bm) if primary == "Z" else (other_bm, split_bm)
     k_new = (n + 1) - a_z.rank() - a_x.rank()
     if k_new != c.k:
-        raise AssertionError("split changed the logical count")
+        raise InvariantError("split changed the logical count")
     w_new = max(stabilizer_weight_of(a_z), stabilizer_weight_of(a_x))
     return CssCode(n=n + 1, a_z=a_z, a_x=a_x, k=c.k, w=w_new)
 

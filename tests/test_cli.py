@@ -3,12 +3,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from homprod.cli import main
 from homprod.circuits import verify_encoder
 from homprod.counting import count_rank_matrices, gamma_count
 from homprod.css import CssCode, boundary_from_checks, code_from_complex, steane_check_basis
-from homprod.distance import distance_parallel
+from homprod.distance import distance
 from homprod.experiments import ExperimentReport
 from homprod.gf2 import BitMatrix
 from homprod.gf4 import Gf4Matrix, five_qubit_check_basis, gf4_boundary_from_checks
@@ -56,26 +57,24 @@ def test_product_and_distance_round_trip(tmp_path, capsys):
     d = parse_boundary(p.read_text())
     assert d == product(parse_boundary(a.read_text()), parse_boundary(b.read_text())).partial
 
-    rc, payload, _ = run_json(capsys, ["distance", str(p), "--threads", "1"])
+    rc, payload, _ = run_json(capsys, ["distance", str(p)])
     assert rc == 0
-    direct = distance_parallel(d, 1)
+    direct = distance(d)
     assert payload["d_z"] == direct.d_z and payload["d_x"] == direct.d_x
     assert set(payload["witness_z"]) <= {"0", "1"} and len(payload["witness_z"]) == 12
     assert payload["cosets_scanned"] == direct.cosets_scanned
 
 
-def test_distance_threads_resolution(tmp_path, capsys, monkeypatch):
-    f = tmp_path / "d.txt"
-    run(capsys, ["gen-random", "5", "1", "--seed", "4", "-o", str(f)])
-    monkeypatch.setenv("HOMPROD_THREADS", "2")
-    rc, env_payload, _ = run_json(capsys, ["distance", str(f)])
-    rc2, flag_payload, _ = run_json(capsys, ["distance", str(f), "--threads", "1"])
-    assert rc == 0 and rc2 == 0
-    monkeypatch.setenv("HOMPROD_THREADS", "not-a-number")
-    rc3, fallback_payload, _ = run_json(capsys, ["distance", str(f), "--threads", "1"])
-    assert rc3 == 0
-    for key in ("d_z", "d_x", "witness_z", "witness_x"):
-        assert env_payload[key] == flag_payload[key] == fallback_payload[key]
+@pytest.mark.parametrize(
+    "argv",
+    [["distance", "d.txt"], ["gf4", "distance", "d.txt"], ["reproduce", "steane-css-params"]],
+    ids=["distance", "gf4-distance", "reproduce"],
+)
+def test_threads_option_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_count_matches_library_and_validates_arity(capsys):
@@ -157,9 +156,9 @@ def test_reproduce_exit_code_tracks_verdict(capsys, monkeypatch):
 
     failed = ExperimentReport(
         name="steane-css-params", params={}, results={}, passed=False,
-        seed=None, threads=1, wall_time=0.0,
+        seed=None, wall_time=0.0,
     )
-    monkeypatch.setattr("homprod.cli.steane_css_params", lambda threads: failed)
+    monkeypatch.setattr("homprod.cli.steane_css_params", lambda: failed)
     rc, out, _ = run(capsys, ["reproduce", "steane-css-params"])
     assert rc == 1 and "FAIL" in out and "violated claim" in out
 

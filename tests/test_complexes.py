@@ -8,7 +8,6 @@ from homprod.complexes import (
     BoundaryOperator,
     canonical_boundary,
     canonical_witness,
-    homological_dimension,
     homology_representatives,
     is_good,
     random_boundary,
@@ -47,7 +46,7 @@ def test_random_boundary_properties():
     for m, h in [(2, 2), (2, 0), (6, 2), (9, 3), (10, 0)]:
         d = random_boundary(m, h, rng)
         assert d.m == m
-        assert homological_dimension(d) == h
+        assert d.hom_dim == h
         assert (d.matrix @ d.matrix).is_zero()
 
 

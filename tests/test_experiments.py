@@ -58,10 +58,11 @@ def test_manifest_entries_are_self_contained():
 def test_report_dict_and_deterministic_view():
     r = ExperimentReport(
         name="x", params={"a": 1}, results={"b": 2}, passed=True,
-        seed=7, threads=3, wall_time=0.5,
+        seed=7, wall_time=0.5,
     )
     d = r.to_dict()
     assert d["pass"] is True and d["seed"] == 7 and d["wall_time"] == 0.5
+    assert "threads" not in d
     v = r.deterministic_view()
     assert "wall_time" not in v and "threads" not in v
     assert v["results"] == {"b": 2} and v["params"] == {"a": 1}

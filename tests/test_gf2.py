@@ -13,7 +13,6 @@ from homprod.gf2 import (
     in_span,
     inverse,
     kernel_basis,
-    lex_key,
     random_invertible,
     row_space_basis,
     solve,
@@ -145,7 +144,6 @@ def test_vector_helpers():
     u = vector_from_bits([1, 0, 1])
     w = vector_from_bits([0, 1, 1])
     assert dot_parity(u, w) == 1
-    assert lex_key(w, 3) < lex_key(u, 3)
 
 
 @settings(max_examples=60, deadline=None)
