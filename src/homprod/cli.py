@@ -231,7 +231,7 @@ def _cmd_gf4_bound(args) -> int:
 
 def _cmd_gf4_enumerate(args) -> int:
     mats = enumerate_selfadjoint_invertible(args.m)
-    rows = [[vector_symbols(mat.to_codes()[i]) for i in range(mat.rows)] for mat in mats]
+    rows = [[vector_symbols(row) for row in mat.codes] for mat in mats]
     _emit(
         args,
         {"m": args.m, "count": len(mats), "matrices": rows},
@@ -389,12 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except HomprodError as exc:
-        line = getattr(exc, "line", None)
-        where = f" (line {line})" if line is not None else ""
-        print(f"error{where}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HomprodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

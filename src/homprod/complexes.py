@@ -66,17 +66,16 @@ class ReducedOperator:
 
     Keeping only the first m_prime coordinates (the projector W) and dividing
     out S^> = W d(V^>) leaves a K-dimensional space with K = 2 m_prime - M.
-    `coset_lift` maps reduced coordinates back to representatives supported on
-    the kept coordinates, and `project` is the forward coset map.
+    `lift` maps reduced coordinates back to representatives supported on the
+    kept coordinates, and `project` is the forward coset map.
     """
 
-    __slots__ = ("delta_prime", "s_gt_basis", "coset_lift", "m", "m_prime", "_pivots", "_free")
+    __slots__ = ("delta_prime", "s_gt_basis", "m", "m_prime", "_pivots", "_free")
 
     def __init__(
         self,
         delta_prime: BitMatrix,
         s_gt_basis: Basis,
-        coset_lift: BitMatrix,
         m: int,
         m_prime: int,
         pivots: list[int],
@@ -84,7 +83,6 @@ class ReducedOperator:
     ):
         self.delta_prime = delta_prime
         self.s_gt_basis = s_gt_basis
-        self.coset_lift = coset_lift
         self.m = m
         self.m_prime = m_prime
         self._pivots = pivots
@@ -252,10 +250,7 @@ def reduced_boundary(d: BoundaryOperator, m_prime: int) -> ReducedOperator:
         col = reduce_mod_s(col)
         prime[:, jj] = col[free]
     delta_prime = BitMatrix.from_dense(prime) if k_dim else BitMatrix.zeros(0, 0)
-    lift = BitMatrix.zeros(k_dim, m)
-    for j, c in enumerate(free):
-        lift.set(j, c, 1)
-    out = ReducedOperator(delta_prime, s_basis, lift, m, m_prime, pivots, free)
+    out = ReducedOperator(delta_prime, s_basis, m, m_prime, pivots, free)
     reduced_op = BoundaryOperator(delta_prime)
     if reduced_op.hom_dim != d.hom_dim:
         raise InvariantError("reduction must preserve homology")

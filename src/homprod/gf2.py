@@ -297,17 +297,11 @@ def image_basis(mat: BitMatrix) -> Basis:
 def kernel_basis(mat: BitMatrix) -> Basis:
     """Canonical basis of the right null space {v : mat v = 0}."""
     reduced, pivots = mat.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(mat.cols) if c not in pivot_set]
+    free = sorted(set(range(mat.cols)) - set(pivots))
     vectors = np.zeros((len(free), mat.cols), dtype=np.uint8)
-    dense = reduced.to_dense()
-    for k, f in enumerate(free):
-        vectors[k, f] = 1
-        for i, p in enumerate(pivots):
-            vectors[k, p] = dense[i, f]
-    return _echelon_basis(BitMatrix.from_dense(vectors)) if free else Basis(
-        BitMatrix(0, mat.cols)
-    )
+    vectors[np.arange(len(free)), free] = 1
+    vectors[:, pivots] = reduced.to_dense()[: len(pivots)][:, free].T
+    return _echelon_basis(BitMatrix.from_dense(vectors))
 
 
 def in_span(v: np.ndarray, basis: Basis) -> bool:

@@ -1,17 +1,10 @@
 r"""GF(4)-linear stabilizer codes from self-adjoint boundary operators.
 
-The field GF(4) = {0, 1, w, W} (W = w^2) is represented by 2-bit codes
-0->00, 1->01, w->10, W->11, so a code is lo + 2*hi and addition is XOR.
-Writing an element as a + b*w, the bit planes are a = lo and b = hi, which
-turns field arithmetic into plane-wise GF(2) arithmetic:
-
-    w * x       = (hi, lo ^ hi)
-    conj(x)     = x^2 = (lo ^ hi, hi)
-    x * y (lo)  = x_lo&y_lo ^ x_hi&y_hi
-    x * y (hi)  = x_lo&y_hi ^ x_hi&y_lo ^ x_hi&y_hi
-
-A matrix is stored as two packed GF(2) planes, so matrix products and
-Kronecker products reduce to three plane products each.
+The field GF(4) = {0, 1, w, W} (W = w^2) is represented by the codes 0, 1,
+2, 3, so addition is XOR of codes and multiplication, conjugation and
+inversion are lookups in small tables.  A matrix is one uint8 array of
+codes: a Kronecker product is one table lookup per entry, and a matrix
+product looks up every term of each sum and XORs them.
 
 A self-orthogonal subspace C (Hermitian products (f,g) = sum conj(f_j) g_j
 all zero) defines a stabilizer code with k = n - 2 dim C.  A boundary
@@ -43,7 +36,6 @@ from .errors import (
     PreconditionError,
     WitnessError,
 )
-from .gf2 import BitMatrix
 
 # Vectors a distance search may visit, and the size of its enumeration blocks.
 DEFAULT_BUDGET = 1 << 32
@@ -128,123 +120,126 @@ def gf4_weight(v: np.ndarray) -> int:
     return int(np.count_nonzero(v))
 
 
+def _matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a @ b, over blocks of rows whose terms fill about _TABLE_BYTES."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    step = max(1, _TABLE_BYTES // max(1, a.shape[1] * b.shape[1]))
+    for i in range(0, a.shape[0], step):
+        out[i : i + step] = np.bitwise_xor.reduce(_MUL[a[i : i + step, :, None], b[None]], axis=1)
+    return out
+
+
+def _code(s) -> int:
+    """The code of a Gf4Element, or of an int after checking that it lies in 0..3."""
+    return s.value if isinstance(s, Gf4Element) else Gf4Element(int(s)).value
+
+
 class Gf4Matrix:
-    """A rows x cols matrix over GF(4), stored as two packed bit planes."""
+    """A rows x cols matrix over GF(4), stored as one uint8 array of codes."""
 
-    __slots__ = ("rows", "cols", "lo", "hi")
+    __slots__ = ("codes",)
 
-    def __init__(self, lo: BitMatrix, hi: BitMatrix):
-        if (lo.rows, lo.cols) != (hi.rows, hi.cols):
-            raise DimensionError(
-                f"plane shapes differ: {lo.rows}x{lo.cols} vs {hi.rows}x{hi.cols}"
-            )
-        self.rows = lo.rows
-        self.cols = lo.cols
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, codes: np.ndarray):
+        if codes.ndim != 2:
+            raise DimensionError(f"expected a two dimensional array, got shape {codes.shape}")
+        if codes.size and codes.max() > 3:
+            raise ParameterError("GF(4) codes must be in 0..3")
+        self.codes = codes
+
+    @property
+    def rows(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.codes.shape[1]
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Gf4Matrix":
-        return cls(BitMatrix.zeros(rows, cols), BitMatrix.zeros(rows, cols))
+        return cls(np.zeros((rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, n: int) -> "Gf4Matrix":
-        return cls(BitMatrix.identity(n), BitMatrix.zeros(n, n))
+        return cls(np.eye(n, dtype=np.uint8))
 
     @classmethod
     def from_codes(cls, codes) -> "Gf4Matrix":
-        codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
-        if codes.size and codes.max() > 3:
-            raise ParameterError("GF(4) codes must be in 0..3")
-        return cls(BitMatrix.from_dense(codes & 1), BitMatrix.from_dense(codes >> 1))
+        return cls(np.atleast_2d(np.array(codes, dtype=np.uint8)))
 
     @classmethod
     def from_symbol_rows(cls, lines) -> "Gf4Matrix":
         return cls.from_codes(np.array([gf4_vector(line) for line in lines]))
 
     def to_codes(self) -> np.ndarray:
-        return (self.lo.to_dense() | (self.hi.to_dense() << 1)).astype(np.uint8)
+        return self.codes.copy()
 
     # -- element access ------------------------------------------------------
 
     def get(self, i: int, j: int) -> Gf4Element:
-        return Gf4Element(self.lo.get(i, j) | (self.hi.get(i, j) << 1))
+        return Gf4Element(int(self.codes[i, j]))
 
     def set(self, i: int, j: int, value) -> None:
-        code = value.value if isinstance(value, Gf4Element) else int(value)
-        self.lo.set(i, j, code & 1)
-        self.hi.set(i, j, code >> 1)
+        self.codes[i, j] = _code(value)
 
     # -- algebra -------------------------------------------------------------
 
     def copy(self) -> "Gf4Matrix":
-        return Gf4Matrix(self.lo.copy(), self.hi.copy())
+        return Gf4Matrix(self.codes.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gf4Matrix):
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        return bool(np.array_equal(self.codes, other.codes))
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
+        return hash((self.codes.shape, self.codes.tobytes()))
 
     def __add__(self, other: "Gf4Matrix") -> "Gf4Matrix":
-        return Gf4Matrix(self.lo ^ other.lo, self.hi ^ other.hi)
+        if self.codes.shape != other.codes.shape:
+            raise DimensionError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        return Gf4Matrix(self.codes ^ other.codes)
 
     def __matmul__(self, other: "Gf4Matrix") -> "Gf4Matrix":
-        lo = (self.lo @ other.lo) ^ (self.hi @ other.hi)
-        hi = (self.lo @ other.hi) ^ (self.hi @ other.lo) ^ (self.hi @ other.hi)
-        return Gf4Matrix(lo, hi)
+        if self.cols != other.rows:
+            raise DimensionError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        return Gf4Matrix(_matmul_codes(self.codes, other.codes))
 
     def scale(self, s) -> "Gf4Matrix":
-        code = s.value if isinstance(s, Gf4Element) else int(s)
-        if code == 0:
-            return Gf4Matrix.zeros(self.rows, self.cols)
-        if code == 1:
-            return self.copy()
-        if code == 2:
-            return Gf4Matrix(self.hi.copy(), self.lo ^ self.hi)
-        return Gf4Matrix(self.lo ^ self.hi, self.lo.copy())
+        return Gf4Matrix(_MUL[_code(s), self.codes])
 
     def conjugate(self) -> "Gf4Matrix":
-        return Gf4Matrix(self.lo ^ self.hi, self.hi.copy())
+        return Gf4Matrix(_CONJ[self.codes])
 
     def transpose(self) -> "Gf4Matrix":
-        return Gf4Matrix(self.lo.transpose(), self.hi.transpose())
+        return Gf4Matrix(self.codes.T.copy())
 
     def adjoint(self) -> "Gf4Matrix":
         """Conjugate transpose; the * in delta* = delta."""
-        return Gf4Matrix((self.lo ^ self.hi).transpose(), self.hi.transpose())
+        return Gf4Matrix(_CONJ[self.codes.T])
 
     def kron(self, other: "Gf4Matrix") -> "Gf4Matrix":
-        lo = self.lo.kron(other.lo) ^ self.hi.kron(other.hi)
-        hi = (
-            self.lo.kron(other.hi)
-            ^ self.hi.kron(other.lo)
-            ^ self.hi.kron(other.hi)
-        )
-        return Gf4Matrix(lo, hi)
+        prod = _MUL[self.codes[:, None, :, None], other.codes[None, :, None, :]]
+        return Gf4Matrix(prod.reshape(self.rows * other.rows, self.cols * other.cols))
 
     def is_zero(self) -> bool:
-        return self.lo.is_zero() and self.hi.is_zero()
+        return not self.codes.any()
 
     # -- weights -------------------------------------------------------------
 
     def row_weight(self, i: int) -> int:
-        return int(np.bitwise_count(self.lo.data[i] | self.hi.data[i]).sum())
+        return int(np.count_nonzero(self.codes[i]))
 
     def max_row_weight(self) -> int:
-        if self.rows == 0:
-            return 0
-        return int(np.bitwise_count(self.lo.data | self.hi.data).sum(axis=1).max())
+        return int(np.count_nonzero(self.codes, axis=1).max(initial=0))
 
     def max_column_weight(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        dense = self.lo.to_dense() | self.hi.to_dense()
-        return int(dense.sum(axis=0, dtype=np.int64).max())
+        return int(np.count_nonzero(self.codes, axis=0).max(initial=0))
 
     def __repr__(self) -> str:
         return f"Gf4Matrix({self.rows}x{self.cols})"
@@ -283,7 +278,7 @@ def _rref_codes(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 def gf4_rank(m: Gf4Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    return len(_rref_codes(m.to_codes())[1])
+    return len(_rref_codes(m.codes)[1])
 
 
 def _row_space_codes(codes: np.ndarray) -> np.ndarray:
@@ -295,12 +290,12 @@ def _row_space_codes(codes: np.ndarray) -> np.ndarray:
 
 
 def gf4_row_space(m: Gf4Matrix) -> np.ndarray:
-    return _row_space_codes(m.to_codes())
+    return _row_space_codes(m.codes)
 
 
 def gf4_image(m: Gf4Matrix) -> np.ndarray:
     """Canonical basis of the column space, one code row per basis vector."""
-    return _row_space_codes(m.to_codes().T)
+    return _row_space_codes(m.codes.T)
 
 
 def _kernel_codes(codes: np.ndarray) -> np.ndarray:
@@ -315,7 +310,7 @@ def _kernel_codes(codes: np.ndarray) -> np.ndarray:
 
 def gf4_kernel(m: Gf4Matrix) -> np.ndarray:
     """Canonical basis of the right kernel, one code row per basis vector."""
-    return _kernel_codes(m.to_codes())
+    return _kernel_codes(m.codes)
 
 
 def _in_row_span(rows: np.ndarray, v: np.ndarray) -> bool:
@@ -368,9 +363,7 @@ def hermitian_inner(f, g) -> Gf4Element:
     g = gf4_vector(g)
     if f.shape != g.shape:
         raise DimensionError(f"length mismatch: {f.size} vs {g.size}")
-    if f.size == 0:
-        return ZERO
-    return Gf4Element(int(np.bitwise_xor.reduce(_MUL[_CONJ[f], g])))
+    return Gf4Element(int(_matmul_codes(_CONJ[f][None, :], g[:, None])[0, 0]))
 
 
 def is_self_orthogonal(basis) -> bool:
@@ -492,10 +485,6 @@ class Gf4DistanceResult:
     witness: np.ndarray
     cosets_scanned: int
     wall_time: float
-
-
-def _matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor.reduce(_MUL[a[:, :, None], b[None, :, :]], axis=1)
 
 
 def _information_sets(gens: np.ndarray, n: int) -> list[tuple[np.ndarray, int]]:
@@ -665,7 +654,7 @@ def gf4_verify_witness(d: Gf4Boundary, witness) -> int:
     if v.size != d.m:
         raise DimensionError(f"witness has length {v.size}, operator has m={d.m}")
     weight = gf4_weight(v)
-    check_witness(d.delta.to_codes(), v, weight)
+    check_witness(d.delta.codes, v, weight)
     return weight
 
 
@@ -680,7 +669,7 @@ def gf4_distance(
     search runs on one thread.
     """
     t0 = time.perf_counter()
-    witness = min_cycle(d.delta.to_codes(), (1, 2, 3), budget)
+    witness = min_cycle(d.delta.codes, (1, 2, 3), budget)
     return Gf4DistanceResult(
         d=gf4_weight(witness),
         witness=witness,
@@ -697,4 +686,4 @@ def gf4_distance_upper_bound(
     A None return is a proof that the distance exceeds `bound`: the search
     stops only once every cycle that light has been seen.
     """
-    return min_cycle(d.delta.to_codes(), (1, 2, 3), budget, bound)
+    return min_cycle(d.delta.codes, (1, 2, 3), budget, bound)

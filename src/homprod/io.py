@@ -94,19 +94,32 @@ def _parse_rows(cur: _Cursor, rows: int, cols: int, alphabet: str) -> list[str]:
     return out
 
 
+# Matrix blocks, keyed by header keyword and alphabet; code c prints as alphabet[c].
+_GF2 = ("GF2", "01")
+_GF4 = ("GF4", SYMBOLS)
+
+
+def _serialize_block(field: tuple[str, str], codes: np.ndarray) -> str:
+    keyword, alphabet = field
+    body = "".join("".join(alphabet[c] for c in row) + "\n" for row in codes)
+    return f"{keyword} {codes.shape[0]} {codes.shape[1]}\n{body}"
+
+
+def _parse_block(cur: _Cursor, field: tuple[str, str]) -> np.ndarray:
+    keyword, alphabet = field
+    rows, cols = _parse_header(cur, keyword)
+    lines = _parse_rows(cur, rows, cols, alphabet)
+    lookup = np.zeros(256, dtype=np.uint8)
+    lookup[list(alphabet.encode())] = range(len(alphabet))
+    return lookup[np.frombuffer("".join(lines).encode(), dtype=np.uint8)].reshape(rows, cols)
+
+
 def serialize_matrix(m: BitMatrix) -> str:
-    dense = m.to_dense()
-    body = "\n".join("".join("01"[b] for b in row) for row in dense)
-    return f"GF2 {m.rows} {m.cols}\n{body}\n" if m.rows else f"GF2 {m.rows} {m.cols}\n"
+    return _serialize_block(_GF2, m.to_dense())
 
 
 def _matrix_block(cur: _Cursor) -> BitMatrix:
-    rows, cols = _parse_header(cur, "GF2")
-    lines = _parse_rows(cur, rows, cols, "01")
-    dense = np.zeros((rows, cols), dtype=np.uint8)
-    for i, text in enumerate(lines):
-        dense[i] = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
-    return BitMatrix.from_dense(dense)
+    return BitMatrix.from_dense(_parse_block(cur, _GF2))
 
 
 def parse_matrix(text: str) -> BitMatrix:
@@ -159,19 +172,13 @@ def parse_css(text: str) -> CssCode:
 
 
 def serialize_gf4_matrix(m: Gf4Matrix) -> str:
-    codes = m.to_codes()
-    body = "\n".join("".join(SYMBOLS[c] for c in row) for row in codes)
-    return f"GF4 {m.rows} {m.cols}\n{body}\n" if m.rows else f"GF4 {m.rows} {m.cols}\n"
+    return _serialize_block(_GF4, m.codes)
 
 
 def parse_gf4_matrix(text: str) -> Gf4Matrix:
     cur = _Cursor(text)
-    rows, cols = _parse_header(cur, "GF4")
-    lines = _parse_rows(cur, rows, cols, SYMBOLS)
+    codes = _parse_block(cur, _GF4)
     cur.expect_end()
-    codes = np.zeros((rows, cols), dtype=np.uint8)
-    for i, text_row in enumerate(lines):
-        codes[i] = [SYMBOLS.index(ch) for ch in text_row]
     return Gf4Matrix.from_codes(codes)
 
 

@@ -198,11 +198,11 @@ def test_error_paths_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("GF2 two three\n")
     rc, _, err = run(capsys, ["distance", str(bad)])
-    assert rc == 2 and "line 1" in err
+    assert rc == 2 and err.count("line 1") == 1
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("GF2 2 2\n10\n1\n")
     rc, _, err = run(capsys, ["product", str(ragged), str(ragged)])
-    assert rc == 2 and "line 3" in err
+    assert rc == 2 and err.count("line 3") == 1
 
 
 def test_gen_random_rejects_bad_parity(capsys):

@@ -1,6 +1,6 @@
 """GF(4) arithmetic, self-adjoint boundaries, products, and exact distance.
 
-Oracles here are independent of the bit-plane implementation: literal
+Oracles here are independent of the package's own tables: literal
 field tables written out from the defining relations, dense table-driven
 matrix algebra, GF(2)-rank doubling for GF(4) ranks, and full enumeration
 of small kernels for distances.
@@ -221,6 +221,10 @@ def test_matrix_codes_round_trip_and_access():
     assert m.get(2, 3).value == codes[2, 3]
     m.set(2, 3, OMEGA)
     assert m.get(2, 3) == OMEGA
+    with pytest.raises(ParameterError):
+        m.set(2, 3, 4)
+    with pytest.raises(ParameterError):
+        m.scale(4)
 
 
 def test_matrix_addition_matches_table_oracle():
@@ -271,6 +275,48 @@ def test_matrix_weights():
     assert m.max_column_weight() == 2
     assert not m.is_zero()
     assert Gf4Matrix.zeros(3, 4).is_zero()
+
+
+def test_matrix_operations_reject_mismatched_shapes():
+    a = Gf4Matrix.zeros(2, 3)
+    with pytest.raises(DimensionError):
+        a + Gf4Matrix.zeros(1, 3)
+    with pytest.raises(DimensionError):
+        a + Gf4Matrix.zeros(2, 1)
+    with pytest.raises(DimensionError):
+        a @ Gf4Matrix.zeros(2, 3)
+    with pytest.raises(DimensionError):
+        a @ Gf4Matrix.zeros(1, 3)
+
+
+def test_from_codes_validates_its_input():
+    with pytest.raises(DimensionError):
+        Gf4Matrix.from_codes(np.zeros((2, 2, 2), dtype=np.uint8))
+    with pytest.raises(ParameterError):
+        Gf4Matrix.from_codes([[0, 4]])
+
+
+def test_matrix_shares_no_storage_with_callers():
+    codes = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+    m = Gf4Matrix.from_codes(codes)
+    codes[0, 0] = 3
+    m.to_codes()[1, 1] = 0
+    assert np.array_equal(m.to_codes(), [[0, 1], [2, 3]])
+    t = m.transpose()
+    t.set(0, 1, 0)
+    assert m.get(1, 0) == OMEGA
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes(rows, cols):
+    m = Gf4Matrix.zeros(rows, cols)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert (m @ Gf4Matrix.zeros(cols, 2)).to_codes().shape == (rows, 2)
+    assert (Gf4Matrix.zeros(2, rows) @ m) == Gf4Matrix.zeros(2, cols)
+    k = m.kron(Gf4Matrix.identity(2))
+    assert (k.rows, k.cols) == (2 * rows, 2 * cols)
+    assert m.max_row_weight() == 0
+    assert m.max_column_weight() == 0
 
 
 # -- elimination ----------------------------------------------------------------

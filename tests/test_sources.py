@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "homprod").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "homprod"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -43,3 +44,33 @@ def test_bare_assertion_scan_finds_both_forms():
         "raise InvariantError('b')\n"
     )
     assert _bare_assertions(tree) == [1, 2, 3]
+
+
+def _imports_module(tree: ast.AST, module: str) -> bool:
+    """True when an import statement names `module` as one of its dotted components."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(module in name.split(".") for name in names):
+            return True
+    return False
+
+
+def test_gf4_layer_imports_nothing_from_gf2():
+    # GF(4) keeps its own arithmetic on code arrays; it must not lean on the GF(2) kit.
+    assert not _imports_module(ast.parse((PACKAGE / "gf4.py").read_text()), "gf2")
+
+
+def test_import_scan_finds_every_form():
+    for source in (
+        "from .gf2 import BitMatrix",
+        "from . import gf2",
+        "import homprod.gf2",
+        "from homprod.gf2 import x",
+    ):
+        assert _imports_module(ast.parse(source), "gf2")
+    assert not _imports_module(ast.parse("from .gf4 import SYMBOLS\nimport numpy"), "gf2")
