@@ -17,6 +17,10 @@ is an information-set (Brouwer-Zimmermann) search over ker(delta) that
 tests each combination for nontriviality by its Hermitian products with
 ker(delta*), and stops once its lower bound on every unseen cycle exceeds
 the lightest nontrivial cycle found.  GF(2) operators are its 0/1 case.
+Elimination runs on code arrays; the enumeration runs on bit planes, one
+uint64 plane per bit of a code (one for GF(2), two for GF(4)), so a
+combination of generators costs one XOR per word and its weight one
+popcount per word.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from .errors import (
     WitnessError,
 )
 
-# Vectors a distance search may visit, and the size of its enumeration blocks.
+# Vectors a distance search may visit, and the bytes of one enumeration table
+# or block (packed words in a distance search, code terms in a matrix product).
 DEFAULT_BUDGET = 1 << 32
 _TABLE_BYTES = 1 << 20
 
@@ -475,6 +480,16 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 # generator carries them as extra syndrome columns and every combination of
 # generators carries its own test.  GF(2) is the 0/1 subfield: its operators
 # run on 0/1 codes with the single scalar 1, GF(4) ones with {1, w, W}.
+#
+# Combinations are enumerated packed.  Each information set's generators are
+# packed once per search, with every scalar multiple: plane p of a vector
+# holds bit p of its codes, the n coordinates first and the syndrome bits
+# after them, over as many uint64 words as they need.  A combination is then
+# an XOR of packed columns, its weight the popcount of the OR of its planes
+# over the coordinate bits, and it is nontrivial when any syndrome bit is
+# set.  Only the candidates at the best weight are unpacked to codes, to be
+# scaled to a leading 1 and compared.  Tables and blocks of packed columns
+# are kept near _TABLE_BYTES each.
 
 
 @dataclass
@@ -508,69 +523,116 @@ def _information_sets(gens: np.ndarray, n: int) -> list[tuple[np.ndarray, int]]:
     return sets
 
 
-def _extend(gens: np.ndarray, scalars: tuple[int, ...], table):
+def _pack(codes: np.ndarray, planes: int, words: int) -> np.ndarray:
+    """Codes along the last axis as `planes` bit planes of `words` uint64 words each.
+
+    Plane p holds bit p of every code, coordinate j in bit j % 64 of word
+    j // 64, and the planes follow one another.
+    """
+    lead, width = codes.shape[:-1], codes.shape[-1]
+    bits = np.zeros((*lead, planes, 64 * words), dtype=np.uint8)
+    bits[..., :width] = codes[..., None, :] >> np.arange(planes, dtype=np.uint8)[:, None] & 1
+    packed = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    return packed.reshape(*lead, planes * words)
+
+
+def _mask(lo: int, hi: int, words: int) -> np.ndarray:
+    """One plane's words, as a column, with the bits of coordinates lo..hi-1 set."""
+    bits = (1 << hi) - (1 << lo)
+    return np.array([[bits >> 64 * i & (1 << 64) - 1] for i in range(words)], dtype=np.uint64)
+
+
+def _unpack(cols: np.ndarray, planes: int, n: int) -> np.ndarray:
+    """The first n codes of each packed column of `cols`, one row per column."""
+    raw = np.ascontiguousarray(cols.T, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little").reshape(len(raw), planes, -1)
+    codes = bits[:, 0, :n]
+    for p in range(1, planes):
+        codes = codes | bits[:, p, :n] << p
+    return codes
+
+
+def _extend(gens: np.ndarray, table):
     """The table of combinations with one more generator than `table`.
 
-    A table holds every combination of s generators with coefficients from
-    `scalars` as a column, ordered by lowest generator descending, together
-    with `starts[i]`, the number of leading columns whose lowest generator
-    is at least i.
+    `gens[i, c]` is generator i times scalar c, packed.  A table holds every
+    combination of s generators with any nonzero coefficients as a packed
+    column, ordered by lowest generator descending, together with
+    `starts[i]`, the number of leading columns whose lowest generator is at
+    least i.
     """
     vecs, starts = table
-    k = len(gens)
+    k, m, _ = gens.shape
     blocks = [
-        vecs[:, : starts[i + 1]] ^ _MUL[s, gens[i]][:, None]
+        vecs[:, : starts[i + 1]] ^ gens[i, c][:, None]
         for i in range(k - 1, -1, -1)
-        for s in scalars
+        for c in range(m)
     ]
-    sizes = np.cumsum([len(scalars) * starts[i + 1] for i in range(k - 1, -1, -1)])
+    sizes = np.cumsum([m * starts[i + 1] for i in range(k - 1, -1, -1)])
     return np.concatenate(blocks, axis=1), [*sizes[::-1].tolist(), 0]
 
 
-def _round(gens: np.ndarray, t: int, scalars: tuple[int, ...], tables: list):
+def _round(gens: np.ndarray, t: int, tables: list):
     """Every combination of exactly t generators whose first coefficient is 1.
 
-    The last s generators of a combination come from the largest cached
-    table that fits in _TABLE_BYTES and the first t - s are looped over, so
-    the blocks yielded, one combination per column, stay near that size.
+    `gens[i, c]` is generator i times scalar c, packed.  The last s
+    generators of a combination come from the largest cached table that
+    fits in _TABLE_BYTES.  The first t - s, the head, are looped over as
+    generator sets, each with all its coefficients at once, so the blocks
+    yielded, one packed combination per column, stay near that size.
     """
-    k, width = gens.shape
+    k, m, size = gens.shape
     s = 0
-    while s < t - 1 and math.comb(k, s + 1) * len(scalars) ** (s + 1) * width <= _TABLE_BYTES:
+    while s < t - 1 and math.comb(k, s + 1) * m ** (s + 1) * 8 * size <= _TABLE_BYTES:
         s += 1
     while len(tables) <= s:
-        tables.append(_extend(gens, scalars, tables[-1]))
+        tables.append(_extend(gens, tables[-1]))
     vecs, starts = tables[s]
-    total = math.comb(k, t) * len(scalars) ** (t - 1)
-    buf = np.empty((width, min(total, max(1, _TABLE_BYTES // width))), dtype=np.uint8)
+    total = math.comb(k, t) * m ** (t - 1)
+    buf = np.empty((size, min(total, max(1, _TABLE_BYTES // (8 * size)))), dtype=np.uint64)
     used = 0
     for rows in itertools.combinations(range(k), t - s):
         tail = vecs[:, : starts[rows[-1] + 1]]
-        for coeffs in itertools.product(scalars, repeat=t - s - 1):
-            head = gens[rows[0]].copy()
-            for c, r in zip(coeffs, rows[1:]):
-                head ^= _MUL[c, gens[r]]
-            if used + tail.shape[1] > buf.shape[1]:
+        if not tail.size:
+            continue
+        heads = gens[rows[0], :1]
+        for r in rows[1:]:
+            heads = (heads[:, None] ^ gens[r][None]).reshape(-1, size)
+        # as many heads per XOR as fit in the buffer, each against the whole tail
+        step = max(1, buf.shape[1] // tail.shape[1])
+        for i in range(0, len(heads), step):
+            part = heads[i : i + step]
+            width = len(part) * tail.shape[1]
+            if used + width > buf.shape[1]:
                 yield buf[:, :used]
                 used = 0
-            np.bitwise_xor(tail, head[:, None], out=buf[:, used : used + tail.shape[1]])
-            used += tail.shape[1]
+            out = buf[:, used : used + width].reshape(size, len(part), tail.shape[1])
+            np.bitwise_xor(tail[:, None, :], part.T[:, :, None], out=out)
+            used += width
     if used:
         yield buf[:, :used]
 
 
-def _fold(block: np.ndarray, n: int, cut: int, best: np.ndarray | None):
-    """Merge a block into the running (weight, lex)-least nontrivial cycle.
+def _fold(block: np.ndarray, n: int, data: np.ndarray, syndrome: np.ndarray, cut: int, best):
+    """Merge a packed block into the running (weight, lex)-least nontrivial cycle.
 
-    `cut` is the weight of `best`, or the weight limit while there is none.
-    Each candidate is scaled so that its first nonzero entry is 1.
+    `data` and `syndrome` mask one plane's words to the coordinates and to
+    the syndrome bits.  `cut` is the weight of `best`, or the weight limit
+    while there is none.  Each candidate is scaled so that its first
+    nonzero entry is 1.
     """
-    weights = (block[:n] != 0).view(np.uint8).sum(axis=0, dtype=np.int32)
-    hit = (weights <= cut) & block[n:].any(axis=0)
-    if not hit.any():
+    words = len(data)
+    planes = len(block) // words
+    either = block[:words]
+    for p in range(1, planes):
+        either = either | block[p * words : (p + 1) * words]
+    weights = np.add.reduce(np.bitwise_count(either & data), axis=0, dtype=np.int32)
+    light = np.flatnonzero(weights <= cut)
+    hit = light[np.logical_or.reduce(either[:, light] & syndrome, axis=0)]
+    if not hit.size:
         return cut, best
     w = int(weights[hit].min())
-    cands = block[:n, hit & (weights == w)].T
+    cands = _unpack(block[:, hit[weights[hit] == w]], planes, n)
     lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
     cands = _MUL[_INV[lead][:, None], cands]
     cand = cands[np.lexsort(cands.T[::-1])[0]]
@@ -605,9 +667,17 @@ def min_cycle(
     if syndromes.shape[1] == 0:
         raise NoLogicalsError("operator has no homology; distance is undefined")
     rows = np.hstack([gens, syndromes])
-    sets = _information_sets(rows, n)
+    # Bits per code: one plane for the 0/1 scalars of GF(2), two for GF(4).
+    planes = max(scalars).bit_length()
+    words = -(-rows.shape[1] // 64)
+    info = _information_sets(rows, n)
+    # multiples[j][i, c] is scalars[c] times generator i of set j, packed
+    reduced = np.array([g for g, _ in info])
+    multiples = _pack(_MUL[np.array(scalars)[:, None], reduced[:, :, None, :]], planes, words)
+    sets = [(m, r) for m, (_, r) in zip(multiples, info)]
+    data, syndrome = _mask(0, n, words), _mask(n, rows.shape[1], words)
     k = len(gens)
-    tables = [[(np.zeros((rows.shape[1], 1), dtype=np.uint8), [1] * (k + 1))] for _ in sets]
+    tables = [[(np.zeros((planes * words, 1), dtype=np.uint64), [1] * (k + 1))] for _ in sets]
     done = [0] * len(sets)
     cut, best, visited = n if limit is None else limit, None, 0
     for t in range(1, k + 1):
@@ -627,8 +697,8 @@ def min_cycle(
             )
         for j, u in todo:
             done[j] = u
-            for block in _round(sets[j][0], u, scalars, tables[j]):
-                cut, best = _fold(block, n, cut, best)
+            for block in _round(sets[j][0], u, tables[j]):
+                cut, best = _fold(block, n, data, syndrome, cut, best)
     if best is not None:
         check_witness(a, best, cut)
     return best

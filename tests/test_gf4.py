@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homprod.css import boundary_from_checks, steane_check_basis
+from homprod.distance import distance
 from homprod.errors import (
     BudgetError,
     DimensionError,
@@ -21,7 +23,7 @@ from homprod.errors import (
     PreconditionError,
     WitnessError,
 )
-from homprod.gf2 import BitMatrix
+from homprod.gf2 import BitMatrix, vector_to_bits
 from homprod.gf4 import (
     OMEGA,
     OMEGA2,
@@ -48,6 +50,7 @@ from homprod.gf4 import (
     steane_gf4_check_basis,
     vector_symbols,
 )
+from homprod.product import product
 
 # Codes: 0, 1, w, W with W = w^2.  Both tables follow from 1 + w + W = 0,
 # x + x = 0, and w^3 = 1, written out by hand as the oracle.
@@ -614,6 +617,64 @@ def test_mixed_product_exact_distance():
     assert (p.m, p.hom_dim, r.d) == (35, 1, 9)
     assert gf4_verify_witness(p, r.witness) == 9
     assert gf4_distance_upper_bound(p, 8) is None
+
+
+def direct_sum(*blocks: np.ndarray) -> Gf4Boundary:
+    m = sum(len(b) for b in blocks)
+    codes = np.zeros((m, m), dtype=np.uint8)
+    i = 0
+    for b in blocks:
+        codes[i : i + len(b), i : i + len(b)] = b
+        i += len(b)
+    return Gf4Boundary(Gf4Matrix.from_codes(codes))
+
+
+@pytest.mark.parametrize("copies", [30, 31])
+@pytest.mark.parametrize("small_first", [True, False])
+def test_direct_sum_past_one_word_pads_the_witness(copies, small_first):
+    # 65 or 67 qubits plus one syndrome column: every plane takes two words.
+    # The 2x2 blocks have no homology, so the 5-qubit witness stands, padded
+    # by zeros in place.
+    d5 = gf4_boundary_from_checks(five_qubit_check_basis(), Gf4Matrix.identity(2))
+    filler = [Gf4Matrix.from_symbol_rows(["1w", "W1"]).codes] * copies
+    blocks = [d5.delta.codes, *filler] if small_first else [*filler, d5.delta.codes]
+    d = direct_sum(*blocks)
+    assert (d.m, d.hom_dim) == (5 + 2 * copies, 1)
+    padded = np.zeros(d.m, dtype=np.uint8)
+    offset = 0 if small_first else d.m - 5
+    padded[offset : offset + 5] = gf4_distance(d5).witness
+    r = gf4_distance(d)
+    assert r.d == 3
+    assert np.array_equal(r.witness, padded)
+    assert gf4_distance_upper_bound(d, 2) is None
+
+
+def test_witnesses_do_not_depend_on_the_block_size(monkeypatch):
+    # 640 bytes hold a table of single generators in both fields, so rounds
+    # split into heads over that table and blocks of 40-80 candidates flush
+    # many times per round
+    basis = steane_check_basis()
+    twin = boundary_from_checks(basis, BitMatrix.identity(3))
+    asymmetric = BitMatrix.from_dense(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.uint8))
+    css = [
+        product(boundary_from_checks(basis, u), twin).partial
+        for u in (BitMatrix.identity(3), asymmetric)
+    ]
+    d5 = gf4_boundary_from_checks(five_qubit_check_basis(), Gf4Matrix.identity(2))
+    square = gf4_product(d5, d5)
+
+    def witnesses():
+        out = []
+        for p in css:
+            r = distance(p)
+            for d, w in ((r.d_z, r.witness_z), (r.d_x, r.witness_x)):
+                out.append((d, vector_to_bits(w, p.m).tolist()))
+        return out + [found(gf4_distance(square).witness)]
+
+    default = witnesses()
+    assert [w for w, _ in default] == [7, 7, 9, 9, 5]
+    monkeypatch.setattr("homprod.gf4._TABLE_BYTES", 640)
+    assert witnesses() == default
 
 
 def test_distance_is_thread_count_independent():
