@@ -9,7 +9,10 @@ GF(4)):
 - `gf4_distance` on all 100 5-qubit^2 pairs (U, V), keyed by their indices
   in `enumerate_selfadjoint_invertible(2)`;
 - `gf4_distance` on 12 fixed mixed 35-qubit products (5-qubit factor U by
-  7-qubit factor V), keyed by their indices.
+  7-qubit factor V), keyed by their indices;
+- both sectors of `distance` on 40 random 36-qubit products of two
+  `random_boundary(6, 2)` factors and on each factor (H = 4 on the product,
+  2 on a factor), keyed by the seed index i of `default_rng([11, i])`.
 
 Any change to the search engine must leave every entry unchanged; the test
 names the first entry that differs.  Regenerate the file (only when the
@@ -24,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from homprod.complexes import random_boundary
 from homprod.css import boundary_from_checks, steane_check_basis
 from homprod.distance import distance
 from homprod.gf2 import BitMatrix, vector_to_bits
@@ -40,6 +44,7 @@ from homprod.product import product
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "witnesses.json"
 MIXED_PAIRS = [(i % 10, (37 * i) % 280) for i in range(12)]
+RANDOM_CODES = 40
 
 
 def bits(witness, m: int) -> str:
@@ -81,10 +86,21 @@ def mixed():
         yield {"u": i, "v": j, "witness": vector_symbols(gf4_distance(gf4_product(d1, d2)).witness)}
 
 
+def random36():
+    for i in range(RANDOM_CODES):
+        rng = np.random.default_rng([11, i])
+        f1 = random_boundary(6, 2, rng)
+        f2 = random_boundary(6, 2, rng)
+        for name, op in (("product", product(f1, f2).partial), ("factor1", f1), ("factor2", f2)):
+            r = distance(op)
+            yield {"i": i, "op": name, "z": bits(r.witness_z, op.m), "x": bits(r.witness_x, op.m)}
+
+
 POPULATIONS = {
     "steane_squared": steane_squared,
     "fivequbit_squared": fivequbit_squared,
     "mixed": mixed,
+    "random36": random36,
 }
 
 
