@@ -19,8 +19,8 @@ import numpy as np
 
 from .complexes import BoundaryOperator
 from .errors import DimensionError
-from .gf2 import BitMatrix, vector_from_bits, vector_to_bits, vector_weight, zero_vector
-from .gf4 import DEFAULT_BUDGET, check_witness, min_cycle
+from .gf2 import vector_from_bits, vector_to_bits, vector_weight, zero_vector
+from .gf4 import DEFAULT_BUDGET, Gf4Matrix, check_witness, gf4_image, min_cycle, reductions
 
 
 @dataclass
@@ -36,8 +36,9 @@ class DistanceResult:
     wall_time: float
 
 
-def _min_cycle(matrix: BitMatrix, budget: int, limit: int | None = None) -> np.ndarray | None:
-    found = min_cycle(matrix.to_dense(), (1,), budget, limit)
+def _min_cycle(a: np.ndarray, reduced, budget: int, limit: int | None = None) -> np.ndarray | None:
+    """`gf4.min_cycle` on a dense 0/1 matrix, given `reductions(a)`, as a packed vector."""
+    found = min_cycle(a, reduced, (1,), budget, limit)
     return None if found is None else vector_from_bits(found)
 
 
@@ -46,11 +47,15 @@ def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResul
 
     d_z is the minimum weight over ker(d) minus im(d); d_x is the same for
     the transposed operator.  Raises BudgetError before a search round
-    that would visit more than `budget` vectors.
+    that would visit more than `budget` vectors.  d and d^T are each
+    eliminated once for both searches: the x search gets the two reduced
+    forms swapped.
     """
     t0 = time.perf_counter()
-    wit_z = _min_cycle(d.matrix, budget)
-    wit_x = _min_cycle(d.matrix.transpose(), budget)
+    dense = d.matrix.to_dense()
+    own, transposed = reductions(dense)
+    wit_z = _min_cycle(dense, (own, transposed), budget)
+    wit_x = _min_cycle(dense.T, (transposed, own), budget)
     return DistanceResult(
         d_z=vector_weight(wit_z),
         d_x=vector_weight(wit_x),
@@ -80,7 +85,8 @@ def distance_upper_bound(
     A None return is a proof that d_z exceeds `bound`: the search stops only
     once every cycle that light has been seen.
     """
-    return _min_cycle(d.matrix, budget, bound)
+    dense = d.matrix.to_dense()
+    return _min_cycle(dense, reductions(dense), budget, bound)
 
 
 def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
@@ -92,5 +98,6 @@ def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
     if witness.shape != zero_vector(d.m).shape:
         raise DimensionError(f"witness has {witness.size} words, operator has m={d.m}")
     weight = vector_weight(witness)
-    check_witness(d.matrix.to_dense(), vector_to_bits(witness, d.m), weight)
+    dense = d.matrix.to_dense()
+    check_witness(dense, vector_to_bits(witness, d.m), weight, gf4_image(Gf4Matrix(dense)))
     return weight

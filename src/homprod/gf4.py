@@ -257,7 +257,11 @@ class Gf4Matrix:
 # normalized to 1, so reduced forms are canonical for the row space.
 
 
-def _rref_codes(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+# A reduced row echelon form and its pivot columns.
+Reduction = tuple[np.ndarray, list[int]]
+
+
+def _rref_codes(a: np.ndarray) -> Reduction:
     a = np.atleast_2d(np.array(a, dtype=np.uint8, copy=True))
     rows, cols = a.shape
     pivots: list[int] = []
@@ -286,28 +290,34 @@ def gf4_rank(m: Gf4Matrix) -> int:
     return len(_rref_codes(m.codes)[1])
 
 
-def _row_space_codes(codes: np.ndarray) -> np.ndarray:
-    """Canonical basis of the GF(4) row space, one row per basis vector."""
-    if codes.size == 0:
-        return np.zeros((0, codes.shape[1] if codes.ndim == 2 else 0), dtype=np.uint8)
-    reduced, pivots = _rref_codes(codes)
-    return reduced[: len(pivots)].copy()
-
-
 def gf4_row_space(m: Gf4Matrix) -> np.ndarray:
-    return _row_space_codes(m.codes)
+    """Canonical basis of the row space, one code row per basis vector."""
+    reduced, pivots = _rref_codes(m.codes)
+    return reduced[: len(pivots)]
+
+
+def _image_basis(adjoint: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Reduced basis of im(a) from the reduced form of a* and its pivots.
+
+    im(a) is the row space of a^T, the conjugate of the row space of a*, and
+    conjugation fixes 0 and 1 and so commutes with reduction.
+    """
+    return _CONJ[adjoint[: len(pivots)]]
 
 
 def gf4_image(m: Gf4Matrix) -> np.ndarray:
     """Canonical basis of the column space, one code row per basis vector."""
-    return _row_space_codes(m.codes.T)
+    return _image_basis(*_rref_codes(m.adjoint().codes))
 
 
-def _kernel_codes(codes: np.ndarray) -> np.ndarray:
-    cols = codes.shape[1]
-    reduced, pivots = _rref_codes(codes)
-    free = sorted(set(range(cols)) - set(pivots))
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
+def _free_columns(reduced: np.ndarray, pivots: list[int]) -> list[int]:
+    return sorted(set(range(reduced.shape[1])) - set(pivots))
+
+
+def _null_basis(reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Kernel basis of a reduced matrix: the identity on its free columns."""
+    free = _free_columns(reduced, pivots)
+    basis = np.zeros((len(free), reduced.shape[1]), dtype=np.uint8)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = reduced[: len(pivots)][:, free].T
     return basis
@@ -315,14 +325,17 @@ def _kernel_codes(codes: np.ndarray) -> np.ndarray:
 
 def gf4_kernel(m: Gf4Matrix) -> np.ndarray:
     """Canonical basis of the right kernel, one code row per basis vector."""
-    return _kernel_codes(m.codes)
+    return _null_basis(*_rref_codes(m.codes))
 
 
 def _in_row_span(rows: np.ndarray, v: np.ndarray) -> bool:
-    if rows.shape[0] == 0:
-        return not v.any()
-    stacked = np.vstack([rows, v[None, :]])
-    return len(_rref_codes(stacked)[1]) == rows.shape[0]
+    """Whether v lies in the span of `rows`, a reduced basis with pivots 1.
+
+    The coefficient of each row is v's entry at that row's pivot, the only
+    row nonzero there, so v is in the span iff v less that combination is 0.
+    """
+    leads = np.argmax(rows != 0, axis=1)
+    return not (v ^ np.bitwise_xor.reduce(_MUL[v[leads][:, None], rows], axis=0)).any()
 
 
 # -- boundary operators --------------------------------------------------------
@@ -481,6 +494,15 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 # generators carries its own test.  GF(2) is the 0/1 subfield: its operators
 # run on 0/1 codes with the single scalar 1, GF(4) ones with {1, w, W}.
 #
+# Set-up eliminates a and a* once each (a self-adjoint a once), and every
+# basis comes from those two reduced forms.  rref(a) gives the kernel basis,
+# which is the identity on the free columns of a and so is already the
+# first information set; later sets reduce it on the columns still unused,
+# until it vanishes there.  rref(a*) gives ker(a*) and, conjugated, the
+# reduced basis of im(a) = conj(rowspace(a*)), since conjugation commutes
+# with reduction.  The witness check tests membership of im(a) by reducing
+# the witness against that basis.
+#
 # Combinations are enumerated packed.  Each information set's generators are
 # packed once per search, with every scalar multiple: plane p of a vector
 # holds bit p of its codes, the n coordinates first and the syndrome bits
@@ -502,21 +524,21 @@ class Gf4DistanceResult:
     wall_time: float
 
 
-def _information_sets(gens: np.ndarray, n: int) -> list[tuple[np.ndarray, int]]:
+def _information_sets(gens: np.ndarray, first: list[int], n: int) -> list[tuple[np.ndarray, int]]:
     """Generator matrices systematic on disjoint column sets, with their ranks.
 
-    Each matrix reduces the generators on the columns no earlier set used,
-    so its first `rank` rows form an identity on its own set and the other
-    rows vanish there.
+    `gens` is the identity on the columns `first` and is the first set.
+    Each later matrix reduces the generators on the columns no earlier set
+    used, so its first `rank` rows form an identity on its own set and the
+    other rows vanish there.  The sets end once the generators vanish on
+    every unused coordinate.
     """
-    sets = []
-    free = list(range(n))
-    while free:
+    sets = [(gens, len(gens))]
+    free = sorted(set(range(n)) - set(first))
+    while gens[:, free].any():
         order = free + sorted(set(range(gens.shape[1])) - set(free))
         reduced, pivots = _rref_codes(gens[:, order])
         rank = sum(p < len(free) for p in pivots)
-        if rank == 0:
-            break
         sets.append((reduced[:, np.argsort(order)], rank))
         used = {order[p] for p in pivots[:rank]}
         free = [c for c in free if c not in used]
@@ -641,27 +663,45 @@ def _fold(block: np.ndarray, n: int, data: np.ndarray, syndrome: np.ndarray, cut
     return cut, best
 
 
+def reductions(a: np.ndarray) -> tuple[Reduction, Reduction]:
+    """The reduced forms and pivots of a and of a*, the input of `min_cycle`.
+
+    A self-adjoint a, such as every GF(4) delta, is its own a* and is
+    eliminated once.
+    """
+    own = _rref_codes(a)
+    adjoint = _CONJ[a.T]
+    return own, own if np.array_equal(adjoint, a) else _rref_codes(adjoint)
+
+
 def min_cycle(
-    a: np.ndarray, scalars: tuple[int, ...], budget: int, limit: int | None = None
+    a: np.ndarray,
+    reduced: tuple[Reduction, Reduction],
+    scalars: tuple[int, ...],
+    budget: int,
+    limit: int | None = None,
 ) -> np.ndarray | None:
     """The (weight, lex)-least nontrivial cycle of weight <= limit, or None.
 
-    `a` is a code matrix; cycles are ker(a) and trivial cycles im(a), and a
-    cycle stands for its scalar multiples through the one whose first
-    nonzero entry is 1.  Round t enumerates, on every information set j of
-    rank r_j, each combination of t generators, after which an unseen cycle
-    weighs at least sum_j max(0, t + 1 - (k - r_j)).  Rounds run until that
-    bound exceeds the best weight found (or `limit`, default the length),
-    so every lightest cycle has been seen.  A set joins once its term turns
+    `a` is a code matrix and `reduced` is `reductions(a)`, from which the
+    kernel basis, the syndrome basis ker(a*), the first information set and
+    the image basis for the witness check all come.  Cycles are ker(a) and
+    trivial cycles im(a), and a cycle stands for its scalar multiples
+    through the one whose first nonzero entry is 1.  Round t enumerates, on
+    every information set j of rank r_j, each combination of t generators,
+    after which an unseen cycle weighs at least
+    sum_j max(0, t + 1 - (k - r_j)).  Rounds run until that bound exceeds
+    the best weight found (or `limit`, default the length), so every
+    lightest cycle has been seen.  A set joins once its term turns
     positive and then catches up on the rounds it skipped.  BudgetError is
     raised before a round that would take the count of vectors visited past
     `budget`; the witness is checked before it is returned.
     """
     n = a.shape[1]
-    gens = _kernel_codes(a)
-    # A self-adjoint a, such as every GF(4) delta, is its own a*.
-    adjoint = _CONJ[a.T]
-    dual = gens if np.array_equal(adjoint, a) else _kernel_codes(adjoint)
+    (own, pivots), (adjoint, adjoint_pivots) = reduced
+    gens = _null_basis(own, pivots)
+    dual = _null_basis(adjoint, adjoint_pivots)
+    image = _image_basis(adjoint, adjoint_pivots)
     syndromes = _matmul_codes(gens, _CONJ[dual].T)
     syndromes = syndromes[:, _rref_codes(syndromes)[1]]
     if syndromes.shape[1] == 0:
@@ -670,10 +710,10 @@ def min_cycle(
     # Bits per code: one plane for the 0/1 scalars of GF(2), two for GF(4).
     planes = max(scalars).bit_length()
     words = -(-rows.shape[1] // 64)
-    info = _information_sets(rows, n)
+    info = _information_sets(rows, _free_columns(own, pivots), n)
     # multiples[j][i, c] is scalars[c] times generator i of set j, packed
-    reduced = np.array([g for g, _ in info])
-    multiples = _pack(_MUL[np.array(scalars)[:, None], reduced[:, :, None, :]], planes, words)
+    systematic = np.array([g for g, _ in info])
+    multiples = _pack(_MUL[np.array(scalars)[:, None], systematic[:, :, None, :]], planes, words)
     sets = [(m, r) for m, (_, r) in zip(multiples, info)]
     data, syndrome = _mask(0, n, words), _mask(n, rows.shape[1], words)
     k = len(gens)
@@ -700,17 +740,23 @@ def min_cycle(
             for block in _round(sets[j][0], u, tables[j]):
                 cut, best = _fold(block, n, data, syndrome, cut, best)
     if best is not None:
-        check_witness(a, best, cut)
+        check_witness(a, best, cut, image)
     return best
 
 
-def check_witness(a: np.ndarray, witness: np.ndarray, weight: int) -> None:
-    """Raise WitnessError unless `witness` is a cycle of `a` outside im(a) of this weight."""
+def check_witness(a: np.ndarray, witness: np.ndarray, weight: int, image: np.ndarray) -> None:
+    """Raise WitnessError unless `witness` is a cycle of `a` outside im(a) of this weight.
+
+    `image` is the reduced basis of im(a) (`gf4_image`, or the conjugated
+    rref(a*) that a search already holds).  The witness is trivial when
+    reducing it against that basis leaves zero, so the check eliminates
+    nothing.
+    """
     if gf4_weight(witness) != weight:
         raise WitnessError(f"witness has weight {gf4_weight(witness)}, not {weight}")
     if _matmul_codes(a, witness[:, None]).any():
         raise WitnessError("witness is not a cycle")
-    if _in_row_span(_row_space_codes(a.T), witness):
+    if _in_row_span(image, witness):
         raise WitnessError("witness is a trivial cycle")
 
 
@@ -724,7 +770,7 @@ def gf4_verify_witness(d: Gf4Boundary, witness) -> int:
     if v.size != d.m:
         raise DimensionError(f"witness has length {v.size}, operator has m={d.m}")
     weight = gf4_weight(v)
-    check_witness(d.delta.codes, v, weight)
+    check_witness(d.delta.codes, v, weight, gf4_image(d.delta))
     return weight
 
 
@@ -739,7 +785,7 @@ def gf4_distance(
     search runs on one thread.
     """
     t0 = time.perf_counter()
-    witness = min_cycle(d.delta.codes, (1, 2, 3), budget)
+    witness = min_cycle(d.delta.codes, reductions(d.delta.codes), (1, 2, 3), budget)
     return Gf4DistanceResult(
         d=gf4_weight(witness),
         witness=witness,
@@ -756,4 +802,4 @@ def gf4_distance_upper_bound(
     A None return is a proof that the distance exceeds `bound`: the search
     stops only once every cycle that light has been seen.
     """
-    return min_cycle(d.delta.codes, (1, 2, 3), budget, bound)
+    return min_cycle(d.delta.codes, reductions(d.delta.codes), (1, 2, 3), budget, bound)

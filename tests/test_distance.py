@@ -1,5 +1,6 @@
 """Distance engine: oracle equivalence, determinism, bounds, budget."""
 
+import itertools
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from homprod.distance import distance, distance_parallel, distance_upper_bound, 
 from homprod.gf2 import (
     image_basis,
     kernel_basis,
+    vector_from_bits,
     vector_from_support,
     vector_to_bits,
     vector_weight,
@@ -214,9 +216,9 @@ def test_witness_verification_rejects_non_cycles_and_trivial_cycles():
 
 
 @st.composite
-def operators(draw, max_m=10):
-    m = draw(st.integers(1, max_m))
-    h = draw(st.sampled_from([h for h in range(1, m + 1) if (m - h) % 2 == 0]))
+def operators(draw, max_m=10, min_h=1):
+    m = draw(st.integers(min_h, max_m))
+    h = draw(st.sampled_from([h for h in range(min_h, m + 1) if (m - h) % 2 == 0]))
     return random_boundary(m, h, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
@@ -226,6 +228,30 @@ def test_engine_matches_naive_enumeration(d):
     res = assert_matches_oracle(d)
     assert distance_upper_bound(d, res.d_z - 1) is None
     assert np.array_equal(distance_upper_bound(d, res.d_z), res.witness_z)
+
+
+@settings(max_examples=25, deadline=None)
+@given(operators(max_m=8, min_h=2))
+def test_witness_check_accepts_exactly_the_nontrivial_cycles(d):
+    # every nonzero vector of both sectors, against an oracle of its own:
+    # a cycle is trivial when it is some a x, with x over the whole space
+    vs = np.array(list(itertools.product((0, 1), repeat=d.m)), dtype=np.int64)
+    res = distance(d)
+    transposed = BoundaryOperator(d.matrix.transpose())
+    for op, witness in ((d, res.witness_z), (transposed, res.witness_x)):
+        a = op.matrix.to_dense().astype(np.int64)
+        images = {tuple(b) for b in (vs @ a.T) % 2}
+        for v in vs[1:]:
+            packed = vector_from_bits(v.astype(np.uint8))
+            if ((a @ v) % 2).any():
+                with pytest.raises(WitnessError, match="not a cycle"):
+                    verify_witness(op, packed)
+            elif tuple(v) in images:
+                with pytest.raises(WitnessError, match="trivial cycle"):
+                    verify_witness(op, packed)
+            else:
+                assert verify_witness(op, packed) == int(v.sum())
+        assert verify_witness(op, witness) == vector_weight(witness)
 
 
 @settings(max_examples=15, deadline=None)

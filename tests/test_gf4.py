@@ -607,6 +607,29 @@ def test_engine_matches_naive_enumeration_on_random_operators(m, data):
     assert np.array_equal(gf4_distance_upper_bound(d, r.d), r.witness)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_witness_check_rejects_every_boundary_and_accepts_its_shifts(m, data):
+    # H >= 2, so the image basis the check reduces against varies in shape
+    # and the witness classes are many: every nonzero delta x is trivial, and
+    # every scalar multiple of the engine's witness plus a boundary is not
+    checks = data.draw(st.integers(max(0, m - 5), (m - 2) // 2))
+    d = random_gf4_boundary(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m, checks)
+    assert d.hom_dim >= 2
+    xs = np.array(list(itertools.product(range(4), repeat=m)), dtype=np.uint8)
+    delta = d.delta.to_codes()
+    images = np.unique(np.bitwise_xor.reduce(MUL[delta[None], xs[:, None, :]], axis=2), axis=0)
+    assert len(images) == 4**checks
+    for b in images[1:]:
+        with pytest.raises(WitnessError, match="trivial cycle"):
+            gf4_verify_witness(d, b)
+    w = gf4_distance(d).witness
+    for s in (1, 2, 3):
+        for b in images:
+            shifted = ADD[MUL[s, w], b]
+            assert gf4_verify_witness(d, shifted) == gf4_weight(shifted)
+
+
 def test_mixed_product_exact_distance():
     # 35 qubits, 18 kernel generators: the last round is too large for one
     # cached table, so it is enumerated as prefixes over a smaller one
