@@ -1,10 +1,13 @@
 """Dense bit-packed linear algebra over GF(2).
 
 Matrices are stored row-major with 64 coordinates per machine word, so row
-addition is a word-wise XOR and weight queries are word-wise popcounts.  All
-echelon routines use leftmost-pivot, topmost-row selection, which makes every
-derived basis deterministic; kernel and image bases are returned in reduced
-echelon form so span equality can be tested by direct comparison.
+addition is a word-wise XOR and weight queries are word-wise popcounts.
+Elimination runs on integer rows: `BitMatrix.rref` reads the words of each
+row as one little-endian int and reduces them with `gf4.eliminate`, the
+kernel both fields share, on a single bit plane.  A reduced form is unique
+for its row space, so every derived basis is deterministic; kernel and
+image bases are returned in reduced echelon form so span equality can be
+tested by direct comparison.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .gf4 import eliminate
 
 WORD_BITS = 64
 
@@ -177,32 +181,12 @@ class BitMatrix:
     def rref(self) -> tuple["BitMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns.
 
-        Pivots are chosen leftmost-column first and topmost-row first, so the
-        output is a deterministic function of the matrix.
+        The rows are reduced as integers by `gf4.eliminate`; the result is
+        the unique reduced form of the row space and shares no storage with
+        this matrix.
         """
-        m = self.copy()
-        data = m.data
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            w, b = c >> 6, np.uint64(c & 63)
-            col = (data[r:, w] >> b) & np.uint64(1)
-            hits = np.nonzero(col)[0]
-            if hits.size == 0:
-                continue
-            p = r + int(hits[0])
-            if p != r:
-                data[[r, p]] = data[[p, r]]
-            col_all = (data[:, w] >> b) & np.uint64(1)
-            col_all[r] = 0
-            targets = np.nonzero(col_all)[0]
-            if targets.size:
-                data[targets] ^= data[r]
-            pivots.append(c)
-            r += 1
-        return m, pivots
+        data, pivots = eliminate(self.data, 1)
+        return BitMatrix(self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

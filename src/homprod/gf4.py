@@ -25,8 +25,10 @@ popcount per word.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -252,36 +254,82 @@ class Gf4Matrix:
 
 # -- elimination --------------------------------------------------------------
 #
-# Row reduction works on dense code arrays with table lookups; pivots follow
-# the same leftmost-column, topmost-row rule as the GF(2) kit and are
-# normalized to 1, so reduced forms are canonical for the row space.
+# One kernel, `eliminate`, reduces matrices over both fields; `_rref_codes`
+# and the GF(2) kit's `BitMatrix.rref` are conversions around it.  It holds
+# each row as one Python int of bit planes, laid out as `_pack` lays out
+# codes: plane p holds bit p of every code, column j at bit p * width + j,
+# where width is 64 bits per word of a plane.  A code a + b w keeps its
+# 1-coefficient a in plane 0 and its w-coefficient b in plane 1.  GF(2)
+# matrices, and GF(4) ones whose codes are all 0 or 1, need plane 0 only and
+# have the same reduced form over either field, so the words of a BitMatrix
+# row, read as a little-endian int, are already such a row.  Adding rows is
+# one XOR.  Multiplying a row by w maps its planes (a, b) to (b, a ^ b),
+# since w (a + b w) = b + (a + b) w, and by W = w^2 maps them to (a ^ b, a).
+#
+# Each pivot is the leftmost column with an entry in a row not yet used,
+# taken from the topmost such row and scaled to a leading 1.  Its multiples
+# by 1, w and W are formed once, keyed by the bits an entry of 1, w or W
+# has in the pivot column, so one pass of XORs over the rows clears the
+# column and touches only the rows with an entry there.  The reduced form
+# is the unique one of the row space, so reduced forms, pivots and every
+# basis derived from them are canonical.
 
 
 # A reduced row echelon form and its pivot columns.
 Reduction = tuple[np.ndarray, list[int]]
 
 
-def _rref_codes(a: np.ndarray) -> Reduction:
-    a = np.atleast_2d(np.array(a, dtype=np.uint8, copy=True))
-    rows, cols = a.shape
+def eliminate(words: np.ndarray, planes: int) -> Reduction:
+    """Reduced row echelon form of packed rows, and its pivot columns.
+
+    `words` is a (rows, planes * w) uint64 array with w >= 1, laid out as
+    `_pack` lays out codes.  The result is a new array of the same shape:
+    the reduced nonzero rows in pivot order, then zero rows.
+    """
+    rows, size = words.shape
+    width = 64 * size // planes
+    mask = (1 << width) - 1
+    step = 8 * size
+    raw = words.astype("<u8", copy=False).tobytes()
+    rest = [x for i in range(0, len(raw), step) if (x := int.from_bytes(raw[i : i + step], "little"))]
+    done: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = _MUL[_INV[a[r, c]], a[r]]
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a ^= _MUL[factors[:, None], a[r][None, :]]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    while rest:
+        either = functools.reduce(operator.or_, rest)
+        either = (either | either >> width) & mask
+        # an entry a + b w in the pivot column shows as the bits a * one | b * two
+        one = either & -either
+        two = one << width
+        both = one | two
+        for i, x in enumerate(rest):
+            if x & both:
+                break
+        row = rest.pop(i)
+        a, b = row & mask, row >> width
+        lead = row & both
+        if lead == two:
+            a, b = a ^ b, a
+        elif lead == both:
+            a, b = b, a ^ b
+        times = {one: a | b << width, two: b | (a ^ b) << width, both: a ^ b | a << width}
+        rest = [y for x in rest if (y := x ^ times[e] if (e := x & both) else x)]
+        done = [x ^ times[e] if (e := x & both) else x for x in done]
+        done.append(times[one])
+        pivots.append(one.bit_length() - 1)
+    out = np.zeros((rows, size), dtype=np.uint64)
+    if done:
+        packed = b"".join(x.to_bytes(step, "little") for x in done)
+        out[: len(done)] = np.frombuffer(packed, dtype="<u8").reshape(len(done), size)
+    return out, pivots
+
+
+def _rref_codes(a: np.ndarray) -> Reduction:
+    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
+    cols = a.shape[1]
+    # 0/1 codes have the same reduced form over GF(2) and GF(4), on one plane
+    planes = 1 if a.max(initial=0) <= 1 else 2
+    reduced, pivots = eliminate(_pack(a, planes, max(1, -(-cols // 64))), planes)
+    return _unpack(reduced.T, planes, cols), pivots
 
 
 def gf4_rank(m: Gf4Matrix) -> int:
@@ -567,7 +615,8 @@ def _mask(lo: int, hi: int, words: int) -> np.ndarray:
 def _unpack(cols: np.ndarray, planes: int, n: int) -> np.ndarray:
     """The first n codes of each packed column of `cols`, one row per column."""
     raw = np.ascontiguousarray(cols.T, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little").reshape(len(raw), planes, -1)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    bits = bits.reshape(len(raw), planes, bits.shape[1] // planes)
     codes = bits[:, 0, :n]
     for p in range(1, planes):
         codes = codes | bits[:, p, :n] << p
