@@ -185,7 +185,9 @@ class BitMatrix:
         the unique reduced form of the row space and shares no storage with
         this matrix.
         """
-        data, pivots = eliminate(self.data, 1)
+        words = self.data.shape[1]
+        raw, pivots = eliminate(self.data.astype("<u8").tobytes(), self.rows, WORD_BITS * words)
+        data = np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(self.rows, words)
         return BitMatrix(self.rows, self.cols, data), pivots
 
     def rank(self) -> int:

@@ -17,8 +17,9 @@ is an information-set (Brouwer-Zimmermann) search over ker(delta) that
 tests each combination for nontriviality by its Hermitian products with
 ker(delta*), and stops once its lower bound on every unseen cycle exceeds
 the lightest nontrivial cycle found.  GF(2) operators are its 0/1 case.
-Elimination runs on code arrays; the enumeration runs on bit planes, one
-uint64 plane per bit of a code (one for GF(2), two for GF(4)), so a
+Both elimination and enumeration run on bit planes, one per bit of a code
+(one for GF(2), two for GF(4)): elimination holds each row as one Python
+int of planes, and the enumeration packs them in uint64 words, so a
 combination of generators costs one XOR per word and its weight one
 popcount per word.
 """
@@ -255,43 +256,36 @@ class Gf4Matrix:
 # -- elimination --------------------------------------------------------------
 #
 # One kernel, `eliminate`, reduces matrices over both fields; `_rref_codes`
-# and the GF(2) kit's `BitMatrix.rref` are conversions around it.  It holds
-# each row as one Python int of bit planes, laid out as `_pack` lays out
-# codes: plane p holds bit p of every code, column j at bit p * width + j,
-# where width is 64 bits per word of a plane.  A code a + b w keeps its
-# 1-coefficient a in plane 0 and its w-coefficient b in plane 1.  GF(2)
-# matrices, and GF(4) ones whose codes are all 0 or 1, need plane 0 only and
-# have the same reduced form over either field, so the words of a BitMatrix
-# row, read as a little-endian int, are already such a row.  Adding rows is
-# one XOR.  Multiplying a row by w maps its planes (a, b) to (b, a ^ b),
-# since w (a + b w) = b + (a + b) w, and by W = w^2 maps them to (a ^ b, a).
-#
-# Each pivot is the leftmost column with an entry in a row not yet used,
-# taken from the topmost such row and scaled to a leading 1.  Its multiples
-# by 1, w and W are formed once, keyed by the bits an entry of 1, w or W
-# has in the pivot column, so one pass of XORs over the rows clears the
-# column and touches only the rows with an entry there.  The reduced form
-# is the unique one of the row space, so reduced forms, pivots and every
-# basis derived from them are canonical.
+# and the GF(2) kit's `BitMatrix.rref` are conversions around it.  Each row
+# is one Python int of bit planes of a fixed width (whole bytes for codes,
+# whole 64-bit words for a BitMatrix): plane p holds bit p of every code,
+# column j at bit p * width + j, so a + b w keeps its 1-coefficient a in
+# plane 0 and its w-coefficient b in plane 1.  0/1 matrices, GF(2) ones
+# among them, need plane 0 only and have the same reduced form over either
+# field; a BitMatrix row read as a little-endian int is such a row.
+# Multiplying by w maps the planes (a, b) to (b, a ^ b), since w (a + b w) =
+# b + (a + b) w, and by W = w^2 maps them to (a ^ b, a).  Each pivot, the
+# leftmost column with an entry in an unused row, comes from the topmost
+# such row and is scaled to 1.  Its multiples by 1, w and W, keyed by the
+# bits their entry has in the pivot column, let one pass of XORs clear the
+# column, touching only the rows with an entry there.  Reduced forms are
+# unique for the row space, so every basis derived from them is canonical.
 
 
 # A reduced row echelon form and its pivot columns.
 Reduction = tuple[np.ndarray, list[int]]
 
 
-def eliminate(words: np.ndarray, planes: int) -> Reduction:
+def eliminate(raw: bytes, rows: int, width: int) -> tuple[bytes, list[int]]:
     """Reduced row echelon form of packed rows, and its pivot columns.
 
-    `words` is a (rows, planes * w) uint64 array with w >= 1, laid out as
-    `_pack` lays out codes.  The result is a new array of the same shape:
+    `raw` holds `rows` rows of equal length, each the little-endian int of
+    its bit planes, `width` bits apiece.  The result has the same layout:
     the reduced nonzero rows in pivot order, then zero rows.
     """
-    rows, size = words.shape
-    width = 64 * size // planes
+    step = len(raw) // rows if rows else 0
     mask = (1 << width) - 1
-    step = 8 * size
-    raw = words.astype("<u8", copy=False).tobytes()
-    rest = [x for i in range(0, len(raw), step) if (x := int.from_bytes(raw[i : i + step], "little"))]
+    rest = [x for i in range(rows) if (x := int.from_bytes(raw[i * step : (i + 1) * step], "little"))]
     done: list[int] = []
     pivots: list[int] = []
     while rest:
@@ -316,20 +310,19 @@ def eliminate(words: np.ndarray, planes: int) -> Reduction:
         done = [x ^ times[e] if (e := x & both) else x for x in done]
         done.append(times[one])
         pivots.append(one.bit_length() - 1)
-    out = np.zeros((rows, size), dtype=np.uint64)
-    if done:
-        packed = b"".join(x.to_bytes(step, "little") for x in done)
-        out[: len(done)] = np.frombuffer(packed, dtype="<u8").reshape(len(done), size)
-    return out, pivots
+    return b"".join(x.to_bytes(step, "little") for x in done).ljust(len(raw), b"\0"), pivots
 
 
 def _rref_codes(a: np.ndarray) -> Reduction:
     a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
-    cols = a.shape[1]
+    rows, cols = a.shape
     # 0/1 codes have the same reduced form over GF(2) and GF(4), on one plane
-    planes = 1 if a.max(initial=0) <= 1 else 2
-    reduced, pivots = eliminate(_pack(a, planes, max(1, -(-cols // 64))), planes)
-    return _unpack(reduced.T, planes, cols), pivots
+    shifts = np.arange(1 if a.max(initial=0) <= 1 else 2, dtype=np.uint8)[:, None]
+    packed = np.packbits(a[:, None, :] >> shifts & 1, axis=-1, bitorder="little")
+    raw, pivots = eliminate(packed.tobytes(), rows, 8 * packed.shape[-1])
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(packed.shape)
+    bits = np.unpackbits(bits, axis=-1, count=cols, bitorder="little")
+    return np.bitwise_or.reduce(bits << shifts, axis=1), pivots
 
 
 def gf4_rank(m: Gf4Matrix) -> int:
@@ -615,8 +608,7 @@ def _mask(lo: int, hi: int, words: int) -> np.ndarray:
 def _unpack(cols: np.ndarray, planes: int, n: int) -> np.ndarray:
     """The first n codes of each packed column of `cols`, one row per column."""
     raw = np.ascontiguousarray(cols.T, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")
-    bits = bits.reshape(len(raw), planes, bits.shape[1] // planes)
+    bits = np.unpackbits(raw, axis=1, bitorder="little").reshape(len(raw), planes, -1)
     codes = bits[:, 0, :n]
     for p in range(1, planes):
         codes = codes | bits[:, p, :n] << p
