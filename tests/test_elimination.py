@@ -110,12 +110,6 @@ def test_gf4_row_space_rank_and_kernel_match_naive_elimination(drawn):
     kernel = gf4_kernel(m)
     assert kernel.dtype == np.uint8 and kernel.shape == (cols - len(pivots), cols)
     assert kernel.tolist() == naive_null_basis(expected, pivots, cols)
-    for v in kernel.tolist():
-        for row in rows:
-            acc = 0
-            for x, y in zip(row, v):
-                acc = ADD[acc, MUL[x, y]]
-            assert acc == 0
     assert np.array_equal(m.codes, codes)
 
 
