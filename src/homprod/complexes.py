@@ -19,12 +19,13 @@ from .gf2 import (
     image_basis,
     inverse,
     kernel_basis,
+    preimages,
     random_invertible,
-    solve,
-    vector_get,
+    row_space_basis,
+    vector_from_bits,
     vector_to_bits,
-    zero_vector,
 )
+from .gf4 import residue
 
 
 class BoundaryOperator:
@@ -70,22 +71,15 @@ class ReducedOperator:
     kept coordinates, and `project` is the forward coset map.
     """
 
-    __slots__ = ("delta_prime", "s_gt_basis", "m", "m_prime", "_pivots", "_free")
+    __slots__ = ("delta_prime", "s_gt_basis", "m", "m_prime", "_free")
 
     def __init__(
-        self,
-        delta_prime: BitMatrix,
-        s_gt_basis: Basis,
-        m: int,
-        m_prime: int,
-        pivots: list[int],
-        free: list[int],
+        self, delta_prime: BitMatrix, s_gt_basis: Basis, m: int, m_prime: int, free: list[int]
     ):
         self.delta_prime = delta_prime
         self.s_gt_basis = s_gt_basis
         self.m = m
         self.m_prime = m_prime
-        self._pivots = pivots
         self._free = free
 
     @property
@@ -96,24 +90,13 @@ class ReducedOperator:
         """Coset coordinates of a length-M vector: truncate, then reduce mod S^>."""
         bits = vector_to_bits(v, self.m).copy()
         bits[self.m_prime :] = 0
-        r = BitMatrix.from_dense(bits.reshape(1, -1)).data[0]
-        r = r[: self.s_gt_basis.matrix.data.shape[1]]
-        for i, p in enumerate(self._pivots):
-            if vector_get(r, p):
-                r = r ^ self.s_gt_basis.matrix.data[i]
-        out = zero_vector(self.k_dim)
-        for j, c in enumerate(self._free):
-            if vector_get(r, c):
-                out[j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-        return out
+        return vector_from_bits(residue(self.s_gt_basis.matrix.to_dense(), bits)[self._free])
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """A length-M representative of the coset with reduced coordinates y."""
-        out = zero_vector(self.m)
-        for j, c in enumerate(self._free):
-            if vector_get(y, j):
-                out[c >> 6] ^= np.uint64(1) << np.uint64(c & 63)
-        return out
+        bits = np.zeros(self.m, dtype=np.uint8)
+        bits[self._free] = vector_to_bits(y, self.k_dim)
+        return vector_from_bits(bits)
 
 
 def canonical_boundary(h: int, l: int) -> BoundaryOperator:
@@ -169,16 +152,14 @@ def canonical_witness(d: BoundaryOperator) -> BitMatrix:
     m = d.m
     h = d.hom_dim
     im = image_basis(d.matrix)
-    hvecs = homology_representatives(d)
-    cols: list[np.ndarray] = []
-    cols.extend(vector_to_bits(v, m) for v in hvecs)
-    cols.extend(vector_to_bits(v, m) for v in im.vectors)
-    for b in im.vectors:
-        x = solve(d.matrix, b)
-        if x is None:
-            raise InvariantError("an image vector has no preimage")
-        cols.append(vector_to_bits(x, m))
-    u = BitMatrix.from_dense(np.array(cols, dtype=np.uint8).T) if cols else BitMatrix.zeros(m, m)
+    # homology_representatives(d), reusing this image basis
+    hvecs = extend_basis(im, kernel_basis(d.matrix))
+    images = im.matrix.to_dense().T
+    pre = preimages(d.matrix, images)
+    if pre is None:
+        raise InvariantError("an image vector has no preimage")
+    homology = np.array([vector_to_bits(v, m) for v in hvecs], dtype=np.uint8).reshape(h, m)
+    u = BitMatrix.from_dense(np.hstack([homology.T, images, pre]))
     if m and u.rank() != m:
         raise InvariantError("witness columns failed to form a basis")
     if len(hvecs) != h:
@@ -213,44 +194,20 @@ def reduced_boundary(d: BoundaryOperator, m_prime: int) -> ReducedOperator:
     if not is_good(d, m_prime):
         raise PreconditionError("operator is not good at the requested truncation")
     m = d.m
-    delta_dense = d.matrix.to_dense()
-    span_rows = []
-    for j in range(m_prime, m):
-        col = delta_dense[:, j].copy()
-        col[m_prime:] = 0
-        span_rows.append(col)
-    if span_rows:
-        s_gt = BitMatrix.from_dense(np.array(span_rows, dtype=np.uint8))
-        s_reduced, pivots = s_gt.rref()
-        s_basis = Basis(BitMatrix(len(pivots), m, s_reduced.data[: len(pivots)].copy()))
-    else:
-        pivots = []
-        s_basis = Basis(BitMatrix(0, m))
-    if len(pivots) != m - m_prime:
+    # W d: the operator with the rows of the dropped coordinates cleared
+    truncated = d.matrix.to_dense()
+    truncated[m_prime:] = 0
+    s_basis = row_space_basis(BitMatrix.from_dense(truncated[:, m_prime:].T))
+    if s_basis.dim != m - m_prime:
         raise InvariantError("goodness must force dim S^> = M - m_prime")
-    pivot_set = set(pivots)
-    free = [c for c in range(m_prime) if c not in pivot_set]
+    s_rows = s_basis.matrix.to_dense()
+    pivots = {int(np.flatnonzero(row)[0]) for row in s_rows}
+    free = [c for c in range(m_prime) if c not in pivots]
     k_dim = len(free)
     if k_dim != 2 * m_prime - m:
         raise InvariantError(f"reduced dimension {k_dim} is not 2 m_prime - M = {2 * m_prime - m}")
-
-    s_rows = s_basis.matrix.to_dense()
-
-    def reduce_mod_s(col: np.ndarray) -> np.ndarray:
-        col = col.copy()
-        for i, p in enumerate(pivots):
-            if col[p]:
-                col ^= s_rows[i]
-        return col
-
-    prime = np.zeros((k_dim, k_dim), dtype=np.uint8)
-    for jj, c in enumerate(free):
-        col = delta_dense[:, c].copy()
-        col[m_prime:] = 0
-        col = reduce_mod_s(col)
-        prime[:, jj] = col[free]
-    delta_prime = BitMatrix.from_dense(prime) if k_dim else BitMatrix.zeros(0, 0)
-    out = ReducedOperator(delta_prime, s_basis, m, m_prime, pivots, free)
+    delta_prime = BitMatrix.from_dense(residue(s_rows, truncated[:, free].T)[:, free].T)
+    out = ReducedOperator(delta_prime, s_basis, m, m_prime, free)
     reduced_op = BoundaryOperator(delta_prime)
     if reduced_op.hom_dim != d.hom_dim:
         raise InvariantError("reduction must preserve homology")

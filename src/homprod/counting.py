@@ -17,7 +17,7 @@ import numpy as np
 
 from .complexes import BoundaryOperator, canonical_boundary, reduced_boundary
 from .errors import BudgetError, InvariantError, ParameterError
-from .gf2 import BitMatrix, kernel_basis, vector_to_bits
+from .gf2 import kernel_basis, vector_from_support, vector_to_bits
 from .product import product
 
 logger = logging.getLogger(__name__)
@@ -234,14 +234,13 @@ def gamma_census(d1: BoundaryOperator, d2: BoundaryOperator, m_prime: int) -> di
     r1 = reduced_boundary(d1, m_prime)
     r2 = reduced_boundary(d2, m_prime)
     _check_oracle_budget(1 << (m_prime * m_prime))
-    k1, k2 = r1.k_dim, r2.k_dim
-    # quotient projection matrices: rows = reduced coordinates of e_j
-    q1 = np.array(
-        [vector_to_bits(r1.project(_unit(d1.m, j)), k1) for j in range(m_prime)], dtype=np.uint8
-    ).T
-    q2 = np.array(
-        [vector_to_bits(r2.project(_unit(d2.m, j)), k2) for j in range(m_prime)], dtype=np.uint8
-    ).T
+
+    def projection(r) -> np.ndarray:
+        """Quotient projection matrix: column j holds the reduced coordinates of e_j."""
+        cols = [r.project(vector_from_support(r.m, [j])) for j in range(m_prime)]
+        return np.array([vector_to_bits(c, r.k_dim) for c in cols], dtype=np.uint8).T
+
+    q1, q2 = projection(r1), projection(r2)
     dp1 = r1.delta_prime.to_dense()
     dp2 = r2.delta_prime.to_dense()
     census: dict[int, int] = {}
@@ -255,12 +254,6 @@ def gamma_census(d1: BoundaryOperator, d2: BoundaryOperator, m_prime: int) -> di
         rk = _tiny_rank(list(rows))
         census[rk] = census.get(rk, 0) + 1
     return census
-
-
-def _unit(n: int, j: int) -> np.ndarray:
-    v = np.zeros((1, n), dtype=np.uint8)
-    v[0, j] = 1
-    return BitMatrix.from_dense(v).data[0]
 
 
 def brute_count(kind: str, params: tuple) -> ExactCount:

@@ -7,7 +7,8 @@ row as one little-endian int and reduces them with `gf4.eliminate`, the
 kernel both fields share, on a single bit plane.  A reduced form is unique
 for its row space, so every derived basis is deterministic; kernel and
 image bases are returned in reduced echelon form so span equality can be
-tested by direct comparison.
+tested by direct comparison.  Null bases and span tests are gf4's
+`null_basis` and `residue` on 0/1 codes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .gf4 import eliminate
+from .gf4 import eliminate, null_basis, residue
 
 WORD_BITS = 64
 
@@ -224,10 +225,6 @@ def vector_weight(v: np.ndarray) -> int:
     return int(np.bitwise_count(v).sum())
 
 
-def vector_get(v: np.ndarray, j: int) -> int:
-    return int((v[j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-
 def dot_parity(u: np.ndarray, v: np.ndarray) -> int:
     """Standard inner product over GF(2)."""
     return int(np.bitwise_count(u & v).sum()) & 1
@@ -264,76 +261,60 @@ class Basis:
         return self.matrix == other.matrix
 
 
-def _echelon_basis(mat: BitMatrix) -> Basis:
+def row_space_basis(mat: BitMatrix) -> Basis:
     """Reduced echelon basis of the row space of `mat`."""
     reduced, pivots = mat.rref()
     r = len(pivots)
     return Basis(BitMatrix(r, mat.cols, reduced.data[:r].copy()))
 
 
-def row_space_basis(mat: BitMatrix) -> Basis:
-    return _echelon_basis(mat)
-
-
 def image_basis(mat: BitMatrix) -> Basis:
     """Canonical basis of the column space, as vectors of length `rows`."""
-    return _echelon_basis(mat.transpose())
+    return row_space_basis(mat.transpose())
 
 
 def kernel_basis(mat: BitMatrix) -> Basis:
     """Canonical basis of the right null space {v : mat v = 0}."""
     reduced, pivots = mat.rref()
-    free = sorted(set(range(mat.cols)) - set(pivots))
-    vectors = np.zeros((len(free), mat.cols), dtype=np.uint8)
-    vectors[np.arange(len(free)), free] = 1
-    vectors[:, pivots] = reduced.to_dense()[: len(pivots)][:, free].T
-    return _echelon_basis(BitMatrix.from_dense(vectors))
+    return row_space_basis(BitMatrix.from_dense(null_basis(reduced.to_dense(), pivots)))
 
 
 def in_span(v: np.ndarray, basis: Basis) -> bool:
-    """Membership test against an echelon basis by successive reduction."""
+    """Membership test against a reduced echelon basis, such as every Basis here."""
     if v.shape != (_word_count(basis.ambient_dim),):
         raise DimensionError("vector length does not match basis ambient dimension")
-    r = v.copy()
-    m = basis.matrix
-    for i in range(m.rows):
-        lead = _leading_index(m.data[i])
-        if lead is not None and vector_get(r, lead):
-            r ^= m.data[i]
-    return not r.any()
-
-
-def _leading_index(v: np.ndarray) -> int | None:
-    for w in range(v.shape[0]):
-        word = int(v[w])
-        if word:
-            return (w << 6) + (word & -word).bit_length() - 1
-    return None
+    return not residue(basis.matrix.to_dense(), vector_to_bits(v, basis.ambient_dim)).any()
 
 
 def extend_basis(base: Basis, candidates: Basis) -> list[np.ndarray]:
     """Vectors from `candidates` that extend `base` to span their joint space.
 
-    Candidates are scanned in order and kept greedily, so the result is
-    deterministic.  The returned vectors are rows of `candidates.matrix`.
+    A candidate is kept when it lies outside the span of the base and the
+    candidates before it, so the result is deterministic: these are the
+    pivot columns past the base of the matrix whose columns are the base
+    vectors, then the candidates.  The returned vectors are rows of
+    `candidates.matrix`.
     """
     if base.ambient_dim != candidates.ambient_dim:
         raise DimensionError("ambient dimensions differ")
-    picked: list[np.ndarray] = []
-    stack = [base.matrix.data[i] for i in range(base.matrix.rows)]
-    current_rank = base.dim
-    for v in candidates.vectors:
-        trial = BitMatrix(
-            len(stack) + 1,
-            base.ambient_dim,
-            np.array(stack + [v], dtype=np.uint64).reshape(len(stack) + 1, -1),
-        )
-        r = trial.rank()
-        if r > current_rank:
-            picked.append(v)
-            stack.append(v)
-            current_rank = r
-    return picked
+    stacked = np.concatenate([base.matrix.to_dense(), candidates.matrix.to_dense()])
+    pivots = BitMatrix.from_dense(stacked.T).rref()[1]
+    return [candidates.matrix.data[p - base.dim] for p in pivots if p >= base.dim]
+
+
+def preimages(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
+    """Solutions X of mat X = rhs with zeros on all free columns, or None.
+
+    `rhs` holds the right-hand sides as the columns of a (rows, s) 0/1
+    array and X is (cols, s).  One elimination of [mat | rhs] serves them
+    all; None means some column of `rhs` is outside the image.
+    """
+    reduced, pivots = BitMatrix.from_dense(np.hstack([mat.to_dense(), rhs])).rref()
+    if pivots and pivots[-1] >= mat.cols:
+        return None
+    x = np.zeros((mat.cols, rhs.shape[1]), dtype=np.uint8)
+    x[pivots] = reduced.to_dense()[: len(pivots), mat.cols :]
+    return x
 
 
 def solve(mat: BitMatrix, b: np.ndarray) -> np.ndarray | None:
@@ -343,30 +324,18 @@ def solve(mat: BitMatrix, b: np.ndarray) -> np.ndarray | None:
     """
     if b.shape != (_word_count(mat.rows),):
         raise DimensionError("right hand side length does not match row count")
-    aug_dense = np.concatenate(
-        [mat.to_dense(), vector_to_bits(b, mat.rows).reshape(-1, 1)], axis=1
-    )
-    reduced, pivots = BitMatrix.from_dense(aug_dense).rref()
-    if pivots and pivots[-1] == mat.cols:
-        return None
-    x = zero_vector(mat.cols)
-    dense = reduced.to_dense()
-    for i, p in enumerate(pivots):
-        if dense[i, mat.cols]:
-            x[p >> 6] ^= np.uint64(1) << np.uint64(p & 63)
-    return x
+    x = preimages(mat, vector_to_bits(b, mat.rows).reshape(-1, 1))
+    return None if x is None else vector_from_bits(x[:, 0])
 
 
 def inverse(mat: BitMatrix) -> BitMatrix:
-    """Inverse of a square invertible matrix via Jordan elimination."""
+    """Inverse of a square invertible matrix: the preimages of the identity."""
     if mat.rows != mat.cols:
         raise DimensionError("only square matrices can be inverted")
-    n = mat.rows
-    aug = np.concatenate([mat.to_dense(), np.eye(n, dtype=np.uint8)], axis=1)
-    reduced, pivots = BitMatrix.from_dense(aug).rref()
-    if pivots[:n] != list(range(n)):
+    x = preimages(mat, np.eye(mat.rows, dtype=np.uint8))
+    if x is None:
         raise ParameterError("matrix is singular")
-    return BitMatrix.from_dense(reduced.to_dense()[:, n:])
+    return BitMatrix.from_dense(x)
 
 
 def random_invertible(m: int, rng: np.random.Generator) -> BitMatrix:

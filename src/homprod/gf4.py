@@ -355,7 +355,7 @@ def _free_columns(reduced: np.ndarray, pivots: list[int]) -> list[int]:
     return sorted(set(range(reduced.shape[1])) - set(pivots))
 
 
-def _null_basis(reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
+def null_basis(reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
     """Kernel basis of a reduced matrix: the identity on its free columns."""
     free = _free_columns(reduced, pivots)
     basis = np.zeros((len(free), reduced.shape[1]), dtype=np.uint8)
@@ -366,17 +366,20 @@ def _null_basis(reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
 
 def gf4_kernel(m: Gf4Matrix) -> np.ndarray:
     """Canonical basis of the right kernel, one code row per basis vector."""
-    return _null_basis(*_rref_codes(m.codes))
+    return null_basis(*_rref_codes(m.codes))
 
 
-def _in_row_span(rows: np.ndarray, v: np.ndarray) -> bool:
-    """Whether v lies in the span of `rows`, a reduced basis with pivots 1.
+def residue(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v less its combination of `rows`, a reduced basis with pivots 1.
 
     The coefficient of each row is v's entry at that row's pivot, the only
-    row nonzero there, so v is in the span iff v less that combination is 0.
+    row nonzero there, so v lies in the span iff its residue is 0.  `v` is
+    one vector or a stack of them along the last axis.
     """
+    if not len(rows):
+        return v.copy()
     leads = np.argmax(rows != 0, axis=1)
-    return not (v ^ np.bitwise_xor.reduce(_MUL[v[leads][:, None], rows], axis=0)).any()
+    return v ^ np.bitwise_xor.reduce(_MUL[v[..., leads, None], rows], axis=-2)
 
 
 # -- boundary operators --------------------------------------------------------
@@ -740,8 +743,8 @@ def min_cycle(
     """
     n = a.shape[1]
     (own, pivots), (adjoint, adjoint_pivots) = reduced
-    gens = _null_basis(own, pivots)
-    dual = _null_basis(adjoint, adjoint_pivots)
+    gens = null_basis(own, pivots)
+    dual = null_basis(adjoint, adjoint_pivots)
     image = _image_basis(adjoint, adjoint_pivots)
     syndromes = _matmul_codes(gens, _CONJ[dual].T)
     syndromes = syndromes[:, _rref_codes(syndromes)[1]]
@@ -797,7 +800,7 @@ def check_witness(a: np.ndarray, witness: np.ndarray, weight: int, image: np.nda
         raise WitnessError(f"witness has weight {gf4_weight(witness)}, not {weight}")
     if _matmul_codes(a, witness[:, None]).any():
         raise WitnessError("witness is not a cycle")
-    if _in_row_span(image, witness):
+    if not residue(image, witness).any():
         raise WitnessError("witness is a trivial cycle")
 
 

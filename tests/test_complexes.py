@@ -13,7 +13,14 @@ from homprod.complexes import (
     random_boundary,
     reduced_boundary,
 )
-from homprod.gf2 import in_span, inverse, kernel_basis, vector_to_bits
+from homprod.gf2 import (
+    in_span,
+    inverse,
+    kernel_basis,
+    vector_from_bits,
+    vector_from_support,
+    vector_to_bits,
+)
 
 
 def test_canonical_small_shapes():
@@ -140,6 +147,28 @@ def test_project_and_lift_are_inverse_on_cosets():
         # lift(project(v)) differs from truncated v by an element of S^>
         assert in_span(v ^ w, r.s_gt_basis)
         assert np.array_equal(r.project(w), y)
+
+
+@pytest.mark.parametrize("m_prime", [40, 64, 65])
+def test_reduced_operator_past_one_word(m_prime):
+    # M = 70 coordinates take two 64-bit words; M - m_prime <= l = 34 keeps goodness likely
+    m = 70
+    rng = np.random.default_rng(m_prime)
+    d = _good_random(m, 2, m_prime, rng)
+    r = reduced_boundary(d, m_prime)
+    assert r.k_dim == 2 * m_prime - m
+    dense, delta_prime = d.matrix.to_dense(), r.delta_prime.to_dense()
+    for j in range(r.k_dim):
+        # column j of delta' is the coset of d applied to the lift of e_j
+        image = vector_from_bits(dense @ vector_to_bits(r.lift(vector_from_support(r.k_dim, [j])), m) & 1)
+        assert np.array_equal(vector_to_bits(r.project(image), r.k_dim), delta_prime[:, j])
+    for _ in range(20):
+        y = vector_from_bits(rng.integers(0, 2, r.k_dim, dtype=np.uint8))
+        assert np.array_equal(r.project(r.lift(y)), y)
+        bits = rng.integers(0, 2, m, dtype=np.uint8)
+        v = vector_from_bits(bits)
+        bits[m_prime:] = 0
+        assert in_span(vector_from_bits(bits) ^ r.lift(r.project(v)), r.s_gt_basis)
 
 
 def test_reduced_kernel_matches_projected_kernel():

@@ -1,17 +1,30 @@
 """The shared elimination kernel against textbook elimination on Python lists.
 
 `BitMatrix.rref` (GF(2)) and the GF(4) row space, rank and kernel all run
-through one integer-row kernel.  The oracle here reduces lists of field
+through one integer-row kernel, and the GF(2) span tests, basis extension
+and preimages through gf4's reduced-form helpers on top of it.  The oracle here reduces lists of field
 elements column by column with explicit tables: arithmetic mod 2 for GF(2)
 and the hand-written GF(4) tables of `test_gf4`.  Column counts straddle
 the 64-bit word boundaries of the packed layout.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homprod.gf2 import BitMatrix, row_space_basis
+from homprod.errors import ParameterError
+from homprod.gf2 import (
+    Basis,
+    BitMatrix,
+    extend_basis,
+    in_span,
+    inverse,
+    row_space_basis,
+    solve,
+    vector_from_bits,
+    vector_to_bits,
+)
 from homprod.gf4 import Gf4Matrix, gf4_kernel, gf4_rank, gf4_row_space
 from test_gf4 import ADD, MUL
 
@@ -122,3 +135,96 @@ def test_fields_agree_on_zero_one_matrices(drawn):
     packed, codes = BitMatrix.from_dense(dense), Gf4Matrix(dense.copy())
     assert np.array_equal(row_space_basis(packed).matrix.to_dense(), gf4_row_space(codes))
     assert packed.rank() == gf4_rank(codes)
+
+
+def naive_rank(rows: list[list[int]], cols: int) -> int:
+    return len(naive_rref(rows, cols, GF2)[1])
+
+
+def naive_solve(rows: list[list[int]], b: list[int], cols: int) -> list[int] | None:
+    """The solution of rows x = b that is zero on every free column, or None."""
+    reduced, pivots = naive_rref([row + [bit] for row, bit in zip(rows, b)], cols + 1, GF2)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][cols]
+    return x
+
+
+@st.composite
+def gf2_spans(draw):
+    """(cols, base, candidates, vector, square): candidates mix random rows, rows
+    of the base's span and repeats; the square matrix may repeat a row."""
+    cols = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 0.8]))
+
+    def random_row(width=cols):
+        return (rng.random(width) < density).astype(int).tolist()
+
+    base = [random_row() for _ in range(draw(st.integers(0, 4)))]
+
+    def in_base_span():
+        picked = [row for row in base if rng.integers(2)]
+        return [sum(col) % 2 for col in zip(*picked)] if picked else [0] * cols
+
+    candidates: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "span", "repeat"]))
+        if kind == "repeat" and candidates:
+            candidates.append(list(draw(st.sampled_from(candidates))))
+        else:
+            candidates.append(in_base_span() if kind == "span" else random_row())
+    vector = in_base_span() if draw(st.booleans()) else random_row()
+    n = draw(st.sampled_from([0, 1, 2, 5, 32, 33]))
+    square = [random_row(n) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        square[-1] = list(square[0])
+    return cols, base, candidates, vector, square
+
+
+def bits(v: np.ndarray, n: int) -> list[int]:
+    return vector_to_bits(v, n).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf2_spans())
+def test_gf2_span_helpers_match_naive_elimination(drawn):
+    cols, base_rows, candidates, vector, square = drawn
+    base = row_space_basis(BitMatrix.from_dense(as_array(base_rows, cols)))
+    reduced_base = base.matrix.to_dense().tolist()
+
+    # extend_basis keeps what the greedy rank scan keeps, as rows of the candidates
+    picked, stack = [], list(reduced_base)
+    for c in candidates:
+        if naive_rank(stack + [c], cols) > len(stack):
+            picked.append(c)
+            stack.append(c)
+    extra = extend_basis(base, Basis(BitMatrix.from_dense(as_array(candidates, cols))))
+    assert [bits(v, cols) for v in extra] == picked
+
+    # in_span is a rank test
+    expected = naive_rank(reduced_base + [vector], cols) == base.dim
+    assert in_span(vector_from_bits(vector), base) == expected
+
+    # solve on the stacked rows and on their transpose, consistent or not
+    rows = base_rows + candidates
+    mat = BitMatrix.from_dense(as_array(rows, cols))
+    for a, b in ((mat, vector[: len(rows)]), (mat.transpose(), vector)):
+        a_rows = a.to_dense().tolist()
+        b = b + [0] * (a.rows - len(b))
+        x = solve(a, vector_from_bits(b))
+        want = naive_solve(a_rows, b, a.cols)
+        assert (None if x is None else bits(x, a.cols)) == want
+
+    # inverse is Gauss-Jordan on [A | I]; a singular A raises
+    n = len(square)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots = naive_rref([r + e for r, e in zip(square, identity)], 2 * n, GF2)
+    a = BitMatrix.from_dense(as_array(square, n))
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ParameterError):
+            inverse(a)
+    else:
+        assert inverse(a).to_dense().tolist() == [row[n:] for row in reduced]

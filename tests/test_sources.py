@@ -46,18 +46,30 @@ def test_bare_assertion_scan_finds_both_forms():
     assert _bare_assertions(tree) == [1, 2, 3]
 
 
-def _imports_module(tree: ast.AST, module: str) -> bool:
-    """True when an import statement names `module` as one of its dotted components."""
+def _imported_names(tree: ast.AST) -> list[str]:
+    """Dotted names of every import; a relative import keeps its leading dots."""
+    names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        if any(module in name.split(".") for name in names):
-            return True
-    return False
+            dots = "." * node.level
+            names += [dots + ".".join(filter(None, (node.module, a.name))) for a in node.names]
+    return names
+
+
+def _imports_module(tree: ast.AST, module: str) -> bool:
+    """True when an import statement names `module` as one of its dotted components."""
+    return any(module in name.split(".") for name in _imported_names(tree))
+
+
+def _private_package_imports(tree: ast.AST) -> list[str]:
+    """Underscore-prefixed names imported from a module of the package."""
+    return [
+        name
+        for name in _imported_names(tree)
+        if name.startswith((".", "homprod.")) and name.rsplit(".", 1)[-1].startswith("_")
+    ]
 
 
 def test_gf4_layer_imports_nothing_from_gf2():
@@ -74,3 +86,24 @@ def test_import_scan_finds_every_form():
     ):
         assert _imports_module(ast.parse(source), "gf2")
     assert not _imports_module(ast.parse("from .gf4 import SYMBOLS\nimport numpy"), "gf2")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_private_names_of_another(path):
+    # helpers shared across modules (gf4's null_basis and residue) stay public
+    assert _private_package_imports(ast.parse(path.read_text())) == []
+
+
+def test_private_import_scan_finds_package_names_only():
+    tree = ast.parse(
+        "from .gf4 import _rref_codes, residue\n"
+        "from . import _helpers\n"
+        "from homprod.gf2 import _word_count\n"
+        "from __future__ import annotations\n"
+        "from numpy import _globals\n"
+    )
+    assert _private_package_imports(tree) == [
+        ".gf4._rref_codes",
+        "._helpers",
+        "homprod.gf2._word_count",
+    ]
