@@ -160,7 +160,8 @@ def test_reduced_operator_past_one_word(m_prime):
     dense, delta_prime = d.matrix.to_dense(), r.delta_prime.to_dense()
     for j in range(r.k_dim):
         # column j of delta' is the coset of d applied to the lift of e_j
-        image = vector_from_bits(dense @ vector_to_bits(r.lift(vector_from_support(r.k_dim, [j])), m) & 1)
+        lifted = vector_to_bits(r.lift(vector_from_support(r.k_dim, [j])), m)
+        image = vector_from_bits(dense @ lifted & 1)
         assert np.array_equal(vector_to_bits(r.project(image), r.k_dim), delta_prime[:, j])
     for _ in range(20):
         y = vector_from_bits(rng.integers(0, 2, r.k_dim, dtype=np.uint8))
