@@ -554,8 +554,10 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 # an XOR of packed columns, its weight the popcount of the OR of its planes
 # over the coordinate bits, and it is nontrivial when any syndrome bit is
 # set.  Only the candidates at the best weight are unpacked to codes, to be
-# scaled to a leading 1 and compared.  Tables and blocks of packed columns
-# are kept near _TABLE_BYTES each.
+# scaled to a leading 1 and compared.  So one combination per class of
+# scalar multiples is enough: cached tables of s-generator combinations hold
+# the one whose highest generator has coefficient 1.  A round whose table
+# fits in _TABLE_BYTES is that table, built once and kept for the next.
 
 
 @dataclass
@@ -622,59 +624,66 @@ def _extend(gens: np.ndarray, table):
     """The table of combinations with one more generator than `table`.
 
     `gens[i, c]` is generator i times scalar c, packed.  A table holds every
-    combination of s generators with any nonzero coefficients as a packed
-    column, ordered by lowest generator descending, together with
+    combination of s generators whose highest generator has coefficient 1,
+    the others any nonzero one, so one per class of scalar multiples, as a
+    packed column, ordered by lowest generator descending, together with
     `starts[i]`, the number of leading columns whose lowest generator is at
-    least i.
+    least i.  Adding a lower generator with every scalar keeps that form.
     """
     vecs, starts = table
-    k, m, _ = gens.shape
-    blocks = [
-        vecs[:, : starts[i + 1]] ^ gens[i, c][:, None]
-        for i in range(k - 1, -1, -1)
-        for c in range(m)
-    ]
-    sizes = np.cumsum([m * starts[i + 1] for i in range(k - 1, -1, -1)])
-    return np.concatenate(blocks, axis=1), [*sizes[::-1].tolist(), 0]
+    k, m, size = gens.shape
+    ends = np.cumsum([m * starts[i + 1] for i in range(k - 1, -1, -1)]).tolist()
+    out = np.empty((size, ends[-1]), dtype=np.uint64)
+    for i, end in zip(range(k - 1, -1, -1), ends):
+        w = starts[i + 1]
+        block = out[:, end - m * w : end].reshape(size, m, w)
+        np.bitwise_xor(vecs[:, None, :w], gens[i].T[:, :, None], out=block)
+    return out, [*ends[::-1], 0]
 
 
 def _round(gens: np.ndarray, t: int, tables: list):
-    """Every combination of exactly t generators whose first coefficient is 1.
+    """Every combination of exactly t generators whose highest coefficient is 1.
 
-    `gens[i, c]` is generator i times scalar c, packed.  The last s
-    generators of a combination come from the largest cached table that
-    fits in _TABLE_BYTES.  The first t - s, the head, are looped over as
-    generator sets, each with all its coefficients at once, so the blocks
-    yielded, one packed combination per column, stay near that size.
+    `gens[i, c]` is generator i times scalar c, packed.  s is the largest
+    table size up to t that fits in _TABLE_BYTES (tables[1] is kept at any
+    size).  When s = t the round is that table, built once and kept for the
+    next round.  Otherwise the last s generators come from tables[s] and the
+    first t - s, the head, take every coefficient: its highest generator r
+    over the tail, then each set of lower ones at once.  Blocks yielded, one
+    packed combination per column, stay near _TABLE_BYTES.
     """
     k, m, size = gens.shape
-    s = 0
-    while s < t - 1 and math.comb(k, s + 1) * m ** (s + 1) * 8 * size <= _TABLE_BYTES:
+    s = 1
+    while s < t and math.comb(k, s + 1) * m**s * 8 * size <= _TABLE_BYTES:
         s += 1
     while len(tables) <= s:
         tables.append(_extend(gens, tables[-1]))
     vecs, starts = tables[s]
+    cap = max(1, _TABLE_BYTES // (8 * size))
+    if s == t:
+        yield from (vecs[:, i : i + cap] for i in range(0, vecs.shape[1], cap))
+        return
     total = math.comb(k, t) * m ** (t - 1)
-    buf = np.empty((size, min(total, max(1, _TABLE_BYTES // (8 * size)))), dtype=np.uint64)
+    buf = np.empty((size, min(total, max(cap, m * vecs.shape[1]))), dtype=np.uint64)
     used = 0
-    for rows in itertools.combinations(range(k), t - s):
-        tail = vecs[:, : starts[rows[-1] + 1]]
-        if not tail.size:
-            continue
-        heads = gens[rows[0], :1]
-        for r in rows[1:]:
-            heads = (heads[:, None] ^ gens[r][None]).reshape(-1, size)
-        # as many heads per XOR as fit in the buffer, each against the whole tail
-        step = max(1, buf.shape[1] // tail.shape[1])
-        for i in range(0, len(heads), step):
-            part = heads[i : i + step]
-            width = len(part) * tail.shape[1]
-            if used + width > buf.shape[1]:
-                yield buf[:, :used]
-                used = 0
-            out = buf[:, used : used + width].reshape(size, len(part), tail.shape[1])
-            np.bitwise_xor(tail[:, None, :], part.T[:, :, None], out=out)
-            used += width
+    for r in range(t - s - 1, k - s):
+        # table s + 1's columns whose lowest generator is r, so XORs run long
+        seg = (vecs[:, None, : starts[r + 1]] ^ gens[r].T[:, :, None]).reshape(size, -1)
+        for rows in itertools.combinations(range(r), t - s - 1):
+            heads = np.zeros((1, size), dtype=np.uint64)
+            for g in rows:
+                heads = (heads[:, None] ^ gens[g][None]).reshape(-1, size)
+            # as many heads per XOR as fit in the buffer, each against the whole segment
+            step = max(1, buf.shape[1] // seg.shape[1])
+            for i in range(0, len(heads), step):
+                part = heads[i : i + step]
+                width = len(part) * seg.shape[1]
+                if used + width > buf.shape[1]:
+                    yield buf[:, :used]
+                    used = 0
+                out = buf[:, used : used + width].reshape(size, len(part), seg.shape[1])
+                np.bitwise_xor(seg[:, None, :], part.T[:, :, None], out=out)
+                used += width
     if used:
         yield buf[:, :used]
 
@@ -732,11 +741,11 @@ def min_cycle(
     the image basis for the witness check all come.  Cycles are ker(a) and
     trivial cycles im(a), and a cycle stands for its scalar multiples
     through the one whose first nonzero entry is 1.  Round t enumerates, on
-    every information set j of rank r_j, each combination of t generators,
-    after which an unseen cycle weighs at least
-    sum_j max(0, t + 1 - (k - r_j)).  Rounds run until that bound exceeds
-    the best weight found (or `limit`, default the length), so every
-    lightest cycle has been seen.  A set joins once its term turns
+    every information set j of rank r_j, each combination of t generators
+    whose highest one has coefficient 1, after which an unseen cycle weighs
+    at least sum_j max(0, t + 1 - (k - r_j)).  Rounds run until that bound
+    exceeds the best weight found (or `limit`, default the length), so
+    every lightest cycle has been seen.  A set joins once its term turns
     positive and then catches up on the rounds it skipped.  BudgetError is
     raised before a round that would take the count of vectors visited past
     `budget`; the witness is checked before it is returned.
@@ -761,7 +770,8 @@ def min_cycle(
     sets = [(m, r) for m, (_, r) in zip(multiples, info)]
     data, syndrome = _mask(0, n, words), _mask(n, rows.shape[1], words)
     k = len(gens)
-    tables = [[(np.zeros((planes * words, 1), dtype=np.uint64), [1] * (k + 1))] for _ in sets]
+    empty = (np.zeros((planes * words, 1), dtype=np.uint64), [1] * (k + 1))
+    tables = [[empty, _extend(g[:, :1], empty)] for g, _ in sets]
     done = [0] * len(sets)
     cut, best, visited = n if limit is None else limit, None, 0
     for t in range(1, k + 1):

@@ -673,9 +673,11 @@ def test_direct_sum_past_one_word_pads_the_witness(copies, small_first):
 
 
 def test_witnesses_do_not_depend_on_the_block_size(monkeypatch):
-    # 640 bytes hold a table of single generators in both fields, so rounds
-    # split into heads over that table and blocks of 40-80 candidates flush
-    # many times per round
+    # 8 bytes is one column, so even the table of single generators exceeds
+    # it and every later round loops heads over that table; 640 bytes hold
+    # the single generators of both fields and blocks of 40-80 candidates
+    # flush many times per round.  The nine 5-qubit^2 pairs run GF(4) head
+    # loops, where a head missing a coefficient loses classes.
     basis = steane_check_basis()
     twin = boundary_from_checks(basis, BitMatrix.identity(3))
     asymmetric = BitMatrix.from_dense(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.uint8))
@@ -683,8 +685,9 @@ def test_witnesses_do_not_depend_on_the_block_size(monkeypatch):
         product(boundary_from_checks(basis, u), twin).partial
         for u in (BitMatrix.identity(3), asymmetric)
     ]
-    d5 = gf4_boundary_from_checks(five_qubit_check_basis(), Gf4Matrix.identity(2))
-    square = gf4_product(d5, d5)
+    us = enumerate_selfadjoint_invertible(2)
+    fives = [gf4_boundary_from_checks(five_qubit_check_basis(), u) for u in us[:3]]
+    squares = [gf4_product(a, b) for a in fives for b in fives]
 
     def witnesses():
         out = []
@@ -692,12 +695,13 @@ def test_witnesses_do_not_depend_on_the_block_size(monkeypatch):
             r = distance(p)
             for d, w in ((r.d_z, r.witness_z), (r.d_x, r.witness_x)):
                 out.append((d, vector_to_bits(w, p.m).tolist()))
-        return out + [found(gf4_distance(square).witness)]
+        return out + [found(gf4_distance(p).witness) for p in squares]
 
     default = witnesses()
-    assert [w for w, _ in default] == [7, 7, 9, 9, 5]
-    monkeypatch.setattr("homprod.gf4._TABLE_BYTES", 640)
-    assert witnesses() == default
+    assert [w for w, _ in default] == [7, 7, 9, 9] + [5] * 9
+    for cap in (8, 640):
+        monkeypatch.setattr("homprod.gf4._TABLE_BYTES", cap)
+        assert witnesses() == default, cap
 
 
 def test_distance_is_thread_count_independent():
