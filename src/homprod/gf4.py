@@ -644,9 +644,9 @@ def _extend(gens: np.ndarray, table):
 def _round(gens: np.ndarray, t: int, tables: list):
     """Every combination of exactly t generators whose highest coefficient is 1.
 
-    `gens[i, c]` is generator i times scalar c, packed.  s is the largest
-    table size up to t that fits in _TABLE_BYTES (tables[1] is kept at any
-    size).  When s = t the round is that table, built once and kept for the
+    `gens[i, c]` is generator i times scalar c, packed.  s <= t is as large
+    as tables[2] to tables[s] each fit in _TABLE_BYTES; tables[1] is kept at
+    any size.  When s = t the round is that table, built once and kept for the
     next round.  Otherwise the last s generators come from tables[s] and the
     first t - s, the head, take every coefficient: its highest generator r
     over the tail, then each set of lower ones at once.  Blocks yielded, one
