@@ -8,7 +8,10 @@ second factor's circuit on every row of an M1 x M2 grid followed by the
 first factor's circuit on every column.  ``verify_encoder`` is the arbiter
 for every orientation convention in this module: it propagates the initial
 stabilizer generators through the gate list and demands that the resulting
-spans equal the code's check spaces exactly.
+spans equal the code's check spaces exactly.  The tableau holds each qubit's
+X column and Z column as one Python int over the generators, so a CNOT is
+two integer XORs, as in the CHP simulator (Aaronson and Gottesman, PRA 70,
+052328, 2004).
 """
 
 from __future__ import annotations
@@ -82,68 +85,97 @@ class EncodingCircuit:
         return counts
 
 
-def _xor_column(mat: BitMatrix, src: int, dst: int) -> None:
-    """XOR column src into column dst, vectorized over all rows."""
-    bits = (mat.data[:, src >> 6] >> np.uint64(src & 63)) & np.uint64(1)
-    mat.data[:, dst >> 6] ^= bits << np.uint64(dst & 63)
-
-
 class PauliTableau:
-    """Tracked stabilizer generators: row r has X support x_part[r], Z support z_part[r]."""
+    """Tracked stabilizer generators: row r has X support x_part[r], Z support z_part[r].
 
-    __slots__ = ("x_part", "z_part")
+    Each qubit's X column and Z column is one Python int over the rows, bit
+    r for row r, so a CNOT is two XORs of whole columns.  `x_part` and
+    `z_part` build a fresh BitMatrix from the columns on every read.
+    """
+
+    __slots__ = ("_rows", "_x", "_z")
 
     def __init__(self, x_part: BitMatrix, z_part: BitMatrix):
         if x_part.rows != z_part.rows or x_part.cols != z_part.cols:
             raise DimensionError("X and Z parts must have identical shape")
-        self.x_part = x_part
-        self.z_part = z_part
+        self._rows = x_part.rows
+        self._x = _columns(x_part)
+        self._z = _columns(z_part)
+
+    @classmethod
+    def _of_columns(cls, rows: int, x: list[int], z: list[int]) -> "PauliTableau":
+        tableau = cls.__new__(cls)
+        tableau._rows, tableau._x, tableau._z = rows, x, z
+        return tableau
 
     @property
     def n_rows(self) -> int:
-        return self.x_part.rows
+        return self._rows
 
     @property
     def n_qubits(self) -> int:
-        return self.x_part.cols
+        return len(self._x)
+
+    @property
+    def x_part(self) -> BitMatrix:
+        return _matrix(self._x, self._rows)
+
+    @property
+    def z_part(self) -> BitMatrix:
+        return _matrix(self._z, self._rows)
 
     def apply_cnot(self, control: int, target: int) -> None:
         """Conjugate every row: X on the control spreads to the target, Z on the target to the control."""
-        _xor_column(self.x_part, control, target)
-        _xor_column(self.z_part, target, control)
+        self._x[target] ^= self._x[control]
+        self._z[control] ^= self._z[target]
 
     def apply_circuit(self, gates) -> None:
+        x, z = self._x, self._z
         for g in gates:
-            self.apply_cnot(g.control, g.target)
+            x[g.target] ^= x[g.control]
+            z[g.control] ^= z[g.target]
+
+
+def _columns(mat: BitMatrix) -> list[int]:
+    """The columns of mat as ints, bit r holding row r."""
+    packed = np.packbits(mat.to_dense().T, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+
+
+def _matrix(columns: list[int], rows: int) -> BitMatrix:
+    """The rows x len(columns) matrix whose column q is the int columns[q]."""
+    width = (rows + 7) // 8
+    raw = b"".join(c.to_bytes(width, "little") for c in columns)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(columns), width)
+    bits = np.unpackbits(packed, axis=1, count=rows, bitorder="little")
+    return BitMatrix.from_dense(bits.T)
 
 
 def initial_tableau(circuit: EncodingCircuit) -> PauliTableau:
-    """Stabilizers of the initialized state: Z on zeros, X on pluses, XX and ZZ on EPR pairs."""
+    """Stabilizers of the initialized state: Z on zeros, X on pluses, XX and ZZ on EPR pairs.
+
+    Rows follow the qubits in order: one per zero or plus, two (XX, then
+    ZZ) per EPR pair at its epr_a qubit, none for data qubits.
+    """
     n = circuit.n_qubits
-    x_rows: list[list[int]] = []
-    z_rows: list[list[int]] = []
+    x = [0] * n
+    z = [0] * n
+    rows = 0
     for q, tag in enumerate(circuit.init):
+        bit = 1 << rows
         if tag.tag == "zero":
-            x_rows.append([])
-            z_rows.append([q])
+            z[q] |= bit
+            rows += 1
         elif tag.tag == "plus":
-            x_rows.append([q])
-            z_rows.append([])
+            x[q] |= bit
+            rows += 1
         elif tag.tag == "epr_a":
-            pair = [q, tag.partner]
-            x_rows.append(pair)
-            z_rows.append([])
-            x_rows.append([])
-            z_rows.append(pair)
-    x = BitMatrix.zeros(len(x_rows), n)
-    z = BitMatrix.zeros(len(z_rows), n)
-    for r, support in enumerate(x_rows):
-        for q in support:
-            x.set(r, q, 1)
-    for r, support in enumerate(z_rows):
-        for q in support:
-            z.set(r, q, 1)
-    return PauliTableau(x, z)
+            x[q] |= bit
+            x[tag.partner] |= bit
+            z[q] |= bit << 1
+            z[tag.partner] |= bit << 1
+            rows += 2
+    return PauliTableau._of_columns(rows, x, z)
 
 
 def decompose_invertible(u: BitMatrix) -> list[tuple[int, int]]:

@@ -108,11 +108,15 @@ def canonical_boundary(h: int, l: int) -> BoundaryOperator:
     """
     if h < 0 or l < 0:
         raise ParameterError("block sizes must be non-negative")
+    return BoundaryOperator(_canonical_matrix(h, l))
+
+
+def _canonical_matrix(h: int, l: int) -> BitMatrix:
+    """The matrix of canonical_boundary(h, l), built without validation."""
     m = h + 2 * l
-    mat = BitMatrix.zeros(m, m)
-    for i in range(l):
-        mat.set(h + i, h + l + i, 1)
-    return BoundaryOperator(mat)
+    dense = np.zeros((m, m), dtype=np.uint8)
+    dense[h : h + l, h + l :] = np.eye(l, dtype=np.uint8)
+    return BitMatrix.from_dense(dense)
 
 
 def random_boundary(m: int, h: int, rng: np.random.Generator) -> BoundaryOperator:
@@ -126,7 +130,7 @@ def random_boundary(m: int, h: int, rng: np.random.Generator) -> BoundaryOperato
     if h < 0 or m < h or (m - h) % 2 != 0:
         raise ParameterError("need 0 <= h <= m with m - h even")
     l = (m - h) // 2
-    delta0 = canonical_boundary(h, l).matrix
+    delta0 = _canonical_matrix(h, l)
     u = random_invertible(m, rng)
     return BoundaryOperator(u @ delta0 @ inverse(u))
 

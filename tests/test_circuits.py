@@ -128,40 +128,75 @@ def test_cnot_action_on_tableau():
     tab.apply_cnot(0, 1)
     assert tab.x_part.to_dense().tolist() == [[1, 1, 0], [0, 0, 0]]
     assert tab.z_part.to_dense().tolist() == [[0, 0, 0], [1, 1, 0]]
-    # An X on the target and a Z on the control stay put.
-    tab2 = PauliTableau(z.copy(), x.copy())
+    # Swap the parts and reverse the gate: the X on the control cancels the
+    # target's X, and the Z on the target cancels the control's Z.
+    tab2 = PauliTableau(tab.z_part, tab.x_part)
     tab2.apply_cnot(1, 0)
     assert tab2.x_part.to_dense().tolist() == [[0, 0, 0], [0, 1, 0]]
     assert tab2.z_part.to_dense().tolist() == [[1, 0, 0], [0, 0, 0]]
 
 
+def random_circuit(rng: np.random.Generator, n: int, n_gates: int) -> EncodingCircuit:
+    """n qubits tagged data, zero, plus or EPR pair at random, then random CNOTs."""
+    tags = []
+    q = 0
+    while q < n:
+        kind = rng.integers(0, 4)
+        if kind == 3 and q + 1 < n:
+            tags.append(QubitInit("epr_a", q + 1))
+            tags.append(QubitInit("epr_b", q))
+            q += 2
+        else:
+            tags.append(QubitInit(("data", "zero", "plus")[kind % 3]))
+            q += 1
+    gates = []
+    for _ in range(n_gates):
+        c, t = rng.choice(n, size=2, replace=False)
+        gates.append(Cnot(int(c), int(t)))
+    return EncodingCircuit(n, tuple(tags), tuple(gates))
+
+
 def test_tableau_matches_naive_propagation():
+    # From 63 qubits up, columns and rows cross 64-bit word boundaries.
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        n = int(rng.integers(3, 12))
-        tags = []
-        q = 0
-        while q < n:
-            kind = rng.integers(0, 4)
-            if kind == 3 and q + 1 < n:
-                tags.append(QubitInit("epr_a", q + 1))
-                tags.append(QubitInit("epr_b", q))
-                q += 2
-            else:
-                tags.append(QubitInit(("data", "zero", "plus")[kind % 3]))
-                q += 1
-        gates = []
-        for _ in range(30):
-            c, t = rng.choice(n, size=2, replace=False)
-            gates.append(Cnot(int(c), int(t)))
-        circuit = EncodingCircuit(n, tuple(tags), tuple(gates))
+    sizes = [int(rng.integers(3, 12)) for _ in range(10)] + [63, 64, 65, 100, 129, 140]
+    most_rows = 0
+    for n in sizes:
+        circuit = random_circuit(rng, n, 30 if n < 12 else 4 * n)
         tab = initial_tableau(circuit)
         rows_before = tab.n_rows
         tab.apply_circuit(circuit.gates)
         assert tab.n_rows == rows_before
+        assert tab.n_qubits == n
         x_ref, z_ref = naive_propagate(circuit)
         assert tab.x_part.to_dense().tolist() == [r.tolist() for r in x_ref]
         assert tab.z_part.to_dense().tolist() == [r.tolist() for r in z_ref]
+        most_rows = max(most_rows, tab.n_rows)
+    assert most_rows > 64
+
+
+def test_tableau_neither_mutates_nor_aliases_its_inputs():
+    rng = np.random.default_rng(31)
+    x = BitMatrix.random(70, 67, rng)
+    z = BitMatrix.random(70, 67, rng)
+    x0, z0 = x.copy(), z.copy()
+    tab = PauliTableau(x, z)
+    assert (tab.n_rows, tab.n_qubits) == (70, 67)
+    # Writing to an input leaves the tableau alone.
+    x.set(0, 0, 1 - x.get(0, 0))
+    z.set(69, 66, 1 - z.get(69, 66))
+    assert tab.x_part == x0 and tab.z_part == z0
+    # Propagating leaves the inputs alone.
+    x1, z1 = x.copy(), z.copy()
+    tab.apply_cnot(0, 66)
+    tab.apply_circuit([Cnot(65, 1), Cnot(2, 64)])
+    assert x == x1 and z == z1
+    # Each read is a fresh matrix, and writing to it leaves the tableau alone.
+    for read in (lambda: tab.x_part, lambda: tab.z_part):
+        part = read()
+        assert part is not read() and part == read()
+        part.set(0, 0, 1 - part.get(0, 0))
+        assert part != read()
 
 
 def test_gates_for_linear_map_realizes_the_product():
@@ -285,6 +320,19 @@ def test_verify_agrees_with_oracle_on_every_single_gate_mutation():
             rejected += not got
     # The sweep must actually exercise the rejecting branch.
     assert rejected >= 20
+
+
+def test_product_encoder_past_one_word_verifies_and_rejects_a_corrupted_gate():
+    # n = 144 qubits and 140 generators: every column and row spans three words.
+    rng = np.random.default_rng(12)
+    p = product(random_boundary(12, 2, rng), random_boundary(12, 2, rng))
+    circuit = product_encoder(p)
+    assert circuit.n_qubits == 144
+    assert verify_encoder(circuit, p)
+    assert spans_match_oracle(circuit, p.partial)
+    mutated = EncodingCircuit(circuit.n_qubits, circuit.init, circuit.gates[:-1])
+    assert not spans_match_oracle(mutated, p.partial)
+    assert not verify_encoder(mutated, p)
 
 
 def test_verify_rejects_wrong_code():
