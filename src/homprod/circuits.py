@@ -8,10 +8,9 @@ second factor's circuit on every row of an M1 x M2 grid followed by the
 first factor's circuit on every column.  ``verify_encoder`` is the arbiter
 for every orientation convention in this module: it propagates the initial
 stabilizer generators through the gate list and demands that the resulting
-spans equal the code's check spaces exactly.  The tableau holds each qubit's
-X column and Z column as one Python int over the generators, so a CNOT is
-two integer XORs, as in the CHP simulator (Aaronson and Gottesman, PRA 70,
-052328, 2004).
+spans equal the code's check spaces exactly.  The tableau keeps each qubit's
+X and Z columns as Python ints over the generators, so a CNOT is two integer
+XORs, as in CHP (Aaronson and Gottesman, PRA 70, 052328, 2004).
 """
 
 from __future__ import annotations
@@ -88,9 +87,8 @@ class EncodingCircuit:
 class PauliTableau:
     """Tracked stabilizer generators: row r has X support x_part[r], Z support z_part[r].
 
-    Each qubit's X column and Z column is one Python int over the rows, bit
-    r for row r, so a CNOT is two XORs of whole columns.  `x_part` and
-    `z_part` build a fresh BitMatrix from the columns on every read.
+    Each qubit's X and Z columns are Python ints, bit r for row r, so a CNOT
+    is two column XORs.  Each read of `x_part` or `z_part` builds a new matrix.
     """
 
     __slots__ = ("_rows", "_x", "_z")
@@ -154,8 +152,7 @@ def _matrix(columns: list[int], rows: int) -> BitMatrix:
 def initial_tableau(circuit: EncodingCircuit) -> PauliTableau:
     """Stabilizers of the initialized state: Z on zeros, X on pluses, XX and ZZ on EPR pairs.
 
-    Rows follow the qubits in order: one per zero or plus, two (XX, then
-    ZZ) per EPR pair at its epr_a qubit, none for data qubits.
+    Rows follow the qubits: one per zero or plus, XX then ZZ at each epr_a.
     """
     n = circuit.n_qubits
     x = [0] * n
