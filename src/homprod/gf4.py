@@ -558,6 +558,14 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 # scalar multiples is enough: cached tables of s-generator combinations hold
 # the one whose highest generator has coefficient 1.  A round whose table
 # fits in _TABLE_BYTES is that table, built once and kept for the next.
+#
+# The lower bound counts only how many rounds each set has done, so the
+# sets that join in the same round, max(1, k - r_j), go through the same
+# rounds and share one enumeration.  Their packed generators are stacked one
+# after another along the word axis: one table list, one `_round` per
+# round and one `_fold` per block serve them all, and each set's weights,
+# syndrome tests and candidates come from its own rows.  Sets that join in different
+# rounds are enumerated apart, so a set that never joins costs nothing.
 
 
 @dataclass
@@ -605,14 +613,14 @@ def _pack(codes: np.ndarray, planes: int, words: int) -> np.ndarray:
 
 
 def _mask(lo: int, hi: int, words: int) -> np.ndarray:
-    """One plane's words, as a column, with the bits of coordinates lo..hi-1 set."""
+    """One plane's words with the bits of coordinates lo..hi-1 set."""
     bits = (1 << hi) - (1 << lo)
-    return np.array([[bits >> 64 * i & (1 << 64) - 1] for i in range(words)], dtype=np.uint64)
+    return np.array([bits >> 64 * i & (1 << 64) - 1 for i in range(words)], dtype=np.uint64)
 
 
-def _unpack(cols: np.ndarray, planes: int, n: int) -> np.ndarray:
-    """The first n codes of each packed column of `cols`, one row per column."""
-    raw = np.ascontiguousarray(cols.T, dtype="<u8").view(np.uint8)
+def _unpack(vecs: np.ndarray, planes: int, n: int) -> np.ndarray:
+    """The first n codes of each packed vector of `vecs`, shape (count, planes, words)."""
+    raw = np.ascontiguousarray(vecs, dtype="<u8").reshape(len(vecs), -1).view(np.uint8)
     bits = np.unpackbits(raw, axis=1, bitorder="little").reshape(len(raw), planes, -1)
     codes = bits[:, 0, :n]
     for p in range(1, planes):
@@ -688,29 +696,36 @@ def _round(gens: np.ndarray, t: int, tables: list):
         yield buf[:, :used]
 
 
-def _fold(block: np.ndarray, n: int, data: np.ndarray, syndrome: np.ndarray, cut: int, best):
+def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, cut: int, best):
     """Merge a packed block into the running (weight, lex)-least nontrivial cycle.
 
-    `data` and `syndrome` mask one plane's words to the coordinates and to
-    the syndrome bits.  `cut` is the weight of `best`, or the weight limit
-    while there is none.  Each candidate is scaled so that its first
-    nonzero entry is 1.
+    The block stacks the rows of one or more information sets over the same
+    combinations, so it reads as (sets, planes, words, columns), and each
+    set's weight, syndrome test and candidates come from its own rows.
+    `data` and `syndrome` mask one plane's words to the n coordinates and
+    to the `extra` syndrome bits.  `cut` is the weight of `best`, or the
+    weight limit while there is none.  Each candidate is scaled so that its
+    first nonzero entry is 1.
     """
-    words = len(data)
-    planes = len(block) // words
-    either = block[:words]
+    words, count = len(data), block.shape[1]
+    block = block.reshape(-1, planes, words, count)
+    either = block[:, 0]
     for p in range(1, planes):
-        either = either | block[p * words : (p + 1) * words]
-    weights = np.add.reduce(np.bitwise_count(either & data), axis=0, dtype=np.int32)
-    light = np.flatnonzero(weights <= cut)
-    hit = light[np.logical_or.reduce(either[:, light] & syndrome, axis=0)]
-    if not hit.size:
+        either = either | block[:, p]
+    # the syndrome bits add at most `extra` to a column's weight, so only the
+    # columns within cut + extra are read again, set by set, without them
+    total = np.add.reduce(np.bitwise_count(either), axis=1, dtype=np.int32).ravel()
+    sets, cols = np.divmod(np.flatnonzero(total <= cut + extra), count)
+    near = either[sets, :, cols]
+    weights = np.add.reduce(np.bitwise_count(near & data), axis=1, dtype=np.int32)
+    hit = (weights <= cut) & np.logical_or.reduce(near & syndrome, axis=1)
+    if not hit.any():
         return cut, best
     w = int(weights[hit].min())
-    cands = _unpack(block[:, hit[weights[hit] == w]], planes, n)
+    top = hit & (weights == w)
+    cands = _unpack(block[sets[top], :, :, cols[top]], planes, n)
     lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
-    cands = _MUL[_INV[lead][:, None], cands]
-    cand = cands[np.lexsort(cands.T[::-1])[0]]
+    cand = min(_MUL[_INV[lead][:, None], cands], key=np.ndarray.tobytes)
     if best is None or w < cut or cand.tobytes() < best.tobytes():
         return w, cand
     return cut, best
@@ -745,10 +760,12 @@ def min_cycle(
     whose highest one has coefficient 1, after which an unseen cycle weighs
     at least sum_j max(0, t + 1 - (k - r_j)).  Rounds run until that bound
     exceeds the best weight found (or `limit`, default the length), so
-    every lightest cycle has been seen.  A set joins once its term turns
-    positive and then catches up on the rounds it skipped.  BudgetError is
-    raised before a round that would take the count of vectors visited past
-    `budget`; the witness is checked before it is returned.
+    every lightest cycle has been seen.  Set j joins in round
+    max(1, k - r_j), when its term turns positive, and then catches up on
+    the rounds before it; the sets that join in one round are enumerated
+    together, their rows stacked in one table.  Vectors visited are counted
+    per set.  BudgetError is raised before a round that would take that
+    count past `budget`; the witness is checked before it is returned.
     """
     n = a.shape[1]
     (own, pivots), (adjoint, adjoint_pivots) = reduced
@@ -764,35 +781,43 @@ def min_cycle(
     planes = max(scalars).bit_length()
     words = -(-rows.shape[1] // 64)
     info = _information_sets(rows, _free_columns(own, pivots), n)
-    # multiples[j][i, c] is scalars[c] times generator i of set j, packed
+    # multiples[j, i, c] is scalars[c] times generator i of set j, packed
     systematic = np.array([g for g, _ in info])
     multiples = _pack(_MUL[np.array(scalars)[:, None], systematic[:, :, None, :]], planes, words)
-    sets = [(m, r) for m, (_, r) in zip(multiples, info)]
     data, syndrome = _mask(0, n, words), _mask(n, rows.shape[1], words)
     k = len(gens)
-    empty = (np.zeros((planes * words, 1), dtype=np.uint64), [1] * (k + 1))
-    tables = [[empty, _extend(g[:, :1], empty)] for g, _ in sets]
-    done = [0] * len(sets)
+    # groups[g] is (join round, sets, stacked generators, tables) for the
+    # sets that join in one round; tables[1] is the generators with
+    # coefficient 1, lowest generator descending, and tables[0] is unused
+    joins = [max(1, k - r) for _, r in info]
+    groups = []
+    for join in sorted(set(joins)):
+        members = [j for j, v in enumerate(joins) if v == join]
+        stacked = np.moveaxis(multiples[members], 0, 2).reshape(k, len(scalars), -1)
+        table = np.ascontiguousarray(stacked[::-1, 0].T), list(range(k, -1, -1))
+        groups.append((join, len(members), stacked, [None, table]))
+    done = [0] * len(groups)
     cut, best, visited = n if limit is None else limit, None, 0
     for t in range(1, k + 1):
-        if sum(max(0, t - k + r) for _, r in sets) > cut:
+        if sum(max(0, t - k + r) for _, r in info) > cut:
             break
         todo = [
-            (j, u)
-            for j, (_, r) in enumerate(sets)
-            if r >= k - t
-            for u in range(done[j] + 1, t + 1)
+            (g, u)
+            for g, (join, _, _, _) in enumerate(groups)
+            if join <= t
+            for u in range(done[g] + 1, t + 1)
         ]
-        visited += sum(math.comb(k, u) * len(scalars) ** (u - 1) for _, u in todo)
+        visited += sum(groups[g][1] * math.comb(k, u) * len(scalars) ** (u - 1) for g, u in todo)
         if visited > budget:
             raise BudgetError(
                 f"search needs {visited} vectors through round {t}, which exceeds "
                 f"the budget of {budget}; raise the budget to at least {visited}"
             )
-        for j, u in todo:
-            done[j] = u
-            for block in _round(sets[j][0], u, tables[j]):
-                cut, best = _fold(block, n, data, syndrome, cut, best)
+        for g, u in todo:
+            done[g] = u
+            _, _, stacked, tables = groups[g]
+            for block in _round(stacked, u, tables):
+                cut, best = _fold(block, planes, n, data, syndrome, syndromes.shape[1], cut, best)
     if best is not None:
         check_witness(a, best, cut, image)
     return best

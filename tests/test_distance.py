@@ -91,6 +91,27 @@ def test_matches_oracle_when_information_sets_join_late():
         assert_matches_oracle(random_boundary(16, 2, np.random.default_rng(seed)))
 
 
+def test_matches_oracle_when_information_sets_join_together():
+    # with H = 1 and odd m most sectors have two information sets of ranks
+    # k and k - 1, which both join in round 1 and share one stacked table
+    for m in range(9, 16, 2):
+        for seed in range(30):
+            assert_matches_oracle(random_boundary(m, 1, np.random.default_rng(seed)))
+
+
+def test_budget_counts_the_vectors_of_every_information_set():
+    # both sectors of this asymmetric css49 product visit 136,810 vectors
+    # over two information sets
+    u = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    d_u = boundary_from_checks(steane_check_basis(), u)
+    d_v = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
+    p = product(d_u, d_v).partial
+    with pytest.raises(BudgetError, match=r"at least 136810$"):
+        distance(p, budget=136_809)
+    res = distance(p, budget=136_810)
+    assert (res.d_z, res.d_x) == (9, 9)
+
+
 def test_matches_oracle_on_small_products():
     rng = np.random.default_rng(1)
     for _ in range(10):

@@ -607,6 +607,25 @@ def test_engine_matches_naive_enumeration_on_random_operators(m, data):
     assert np.array_equal(gf4_distance_upper_bound(d, r.d), r.witness)
 
 
+def test_engine_matches_naive_enumeration_when_information_sets_join_together():
+    # H = 1 operators on 7 qubits have k = 4 and information sets of ranks
+    # 4 and 3, which both join in round 1 and share one stacked table
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        d = random_gf4_boundary(rng, 7, 3)
+        assert d.hom_dim == 1
+        r = gf4_distance(d)
+        assert found(r.witness) == naive_min_nontrivial(d)
+
+
+def test_budget_counts_the_vectors_of_every_information_set():
+    u = enumerate_selfadjoint_invertible(2)
+    d1 = gf4_boundary_from_checks(five_qubit_check_basis(), u[0])
+    d2 = gf4_boundary_from_checks(five_qubit_check_basis(), u[1])
+    with pytest.raises(BudgetError, match=r"at least 494$"):
+        gf4_distance(gf4_product(d1, d2), budget=100)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 7), st.data())
 def test_witness_check_rejects_every_boundary_and_accepts_its_shifts(m, data):
