@@ -561,11 +561,12 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 #
 # The lower bound counts only how many rounds each set has done, so the
 # sets that join in the same round, max(1, k - r_j), go through the same
-# rounds and share one enumeration.  Their packed generators are stacked one
-# after another along the word axis: one table list, one `_round` per
+# rounds and share one enumeration.  Their packed generators are stacked
+# one after another along the word axis: one table list, one `_round` per
 # round and one `_fold` per block serve them all, and each set's weights,
-# syndrome tests and candidates come from its own rows.  Sets that join in different
-# rounds are enumerated apart, so a set that never joins costs nothing.
+# syndrome tests and candidates come from its own rows.  Sets that join in
+# different rounds are enumerated apart, so a set that never joins costs
+# nothing.
 
 
 @dataclass
