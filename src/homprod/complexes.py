@@ -18,10 +18,10 @@ from .gf2 import (
     extend_basis,
     image_basis,
     inverse,
-    kernel_basis,
     preimages,
     random_invertible,
     row_space_basis,
+    rref_kernel,
     vector_from_bits,
     vector_to_bits,
 )
@@ -31,11 +31,13 @@ from .gf4 import residue
 class BoundaryOperator:
     """An M x M matrix over GF(2) that squares to zero.
 
-    Rank and homological dimension are computed once at construction;
-    instances are treated as immutable afterward.
+    `reduction` is `matrix.rref()`, the reduced form and pivots computed once
+    at construction for the rank and homological dimension.  Kernel bases,
+    the row space and the distance search start from it, so none of them
+    eliminates the matrix again; instances are treated as immutable.
     """
 
-    __slots__ = ("matrix", "rank", "hom_dim")
+    __slots__ = ("matrix", "reduction", "rank", "hom_dim")
 
     def __init__(self, matrix: BitMatrix):
         if matrix.rows != matrix.cols:
@@ -43,7 +45,8 @@ class BoundaryOperator:
         if not (matrix @ matrix).is_zero():
             raise ParameterError("matrix does not square to zero")
         self.matrix = matrix
-        self.rank = matrix.rank()
+        self.reduction = matrix.rref()
+        self.rank = len(self.reduction[1])
         self.hom_dim = matrix.rows - 2 * self.rank
 
     @property
@@ -141,9 +144,7 @@ def homology_representatives(d: BoundaryOperator) -> list[np.ndarray]:
     The returned H vectors are coset representatives of the homology group;
     selection is greedy over the canonical kernel basis, hence deterministic.
     """
-    im = image_basis(d.matrix)
-    ker = kernel_basis(d.matrix)
-    return extend_basis(im, ker)
+    return extend_basis(image_basis(d.matrix), rref_kernel(*d.reduction))
 
 
 def canonical_witness(d: BoundaryOperator) -> BitMatrix:
@@ -157,7 +158,7 @@ def canonical_witness(d: BoundaryOperator) -> BitMatrix:
     h = d.hom_dim
     im = image_basis(d.matrix)
     # homology_representatives(d), reusing this image basis
-    hvecs = extend_basis(im, kernel_basis(d.matrix))
+    hvecs = extend_basis(im, rref_kernel(*d.reduction))
     images = im.matrix.to_dense().T
     pre = preimages(d.matrix, images)
     if pre is None:
@@ -180,7 +181,7 @@ def is_good(d: BoundaryOperator, m_prime: int) -> bool:
     """
     if not 0 <= m_prime <= d.m:
         raise ParameterError("m_prime must lie in [0, M]")
-    ker = kernel_basis(d.matrix)
+    ker = rref_kernel(*d.reduction)
     if ker.dim == 0:
         return True
     restricted = BitMatrix.from_dense(ker.matrix.to_dense()[:, :m_prime])

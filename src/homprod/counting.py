@@ -17,7 +17,7 @@ import numpy as np
 
 from .complexes import BoundaryOperator, canonical_boundary, reduced_boundary
 from .errors import BudgetError, InvariantError, ParameterError
-from .gf2 import kernel_basis, vector_from_support, vector_to_bits
+from .gf2 import rref_kernel, vector_from_support, vector_to_bits
 from .product import product
 
 logger = logging.getLogger(__name__)
@@ -206,7 +206,7 @@ def oracle_extension_census(a: int, r: int, big_a: int) -> dict[int, int]:
 def kernel_census(d1: BoundaryOperator, d2: BoundaryOperator) -> dict[int, int]:
     """Exhaustive rank census of ker(d1 x I + I x d2), reshaped to matrices."""
     p = product(d1, d2)
-    ker = kernel_basis(p.partial.matrix)
+    ker = rref_kernel(*p.partial.reduction)
     _check_oracle_budget(1 << ker.dim)
     n1, n2 = d1.m, d2.m
     if n1 * n2 == 0:

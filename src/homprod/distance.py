@@ -20,7 +20,7 @@ import numpy as np
 from .complexes import BoundaryOperator
 from .errors import DimensionError
 from .gf2 import vector_from_bits, vector_to_bits, vector_weight, zero_vector
-from .gf4 import DEFAULT_BUDGET, Gf4Matrix, check_witness, gf4_image, min_cycle, reductions
+from .gf4 import DEFAULT_BUDGET, Gf4Matrix, Reduction, check_witness, gf4_image, min_cycle
 
 
 @dataclass
@@ -36,8 +36,14 @@ class DistanceResult:
     wall_time: float
 
 
+def _reductions(d: BoundaryOperator) -> tuple[Reduction, Reduction]:
+    """The reduced forms and pivots of d, stored, and of d^T, eliminated here, as 0/1 codes."""
+    pairs = d.reduction, d.matrix.transpose().rref()
+    return tuple((reduced.to_dense(), pivots) for reduced, pivots in pairs)
+
+
 def _min_cycle(a: np.ndarray, reduced, budget: int, limit: int | None = None) -> np.ndarray | None:
-    """`gf4.min_cycle` on a dense 0/1 matrix, given `reductions(a)`, as a packed vector."""
+    """`gf4.min_cycle` on a dense 0/1 matrix, given the reduced forms of a and a^T."""
     found = min_cycle(a, reduced, (1,), budget, limit)
     return None if found is None else vector_from_bits(found)
 
@@ -47,13 +53,13 @@ def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResul
 
     d_z is the minimum weight over ker(d) minus im(d); d_x is the same for
     the transposed operator.  Raises BudgetError before a search round
-    that would visit more than `budget` vectors.  d and d^T are each
-    eliminated once for both searches: the x search gets the two reduced
-    forms swapped.
+    that would visit more than `budget` vectors.  The searches start from
+    d's stored reduction and eliminate only d^T, once for both: the x
+    search gets the two reduced forms swapped.
     """
     t0 = time.perf_counter()
     dense = d.matrix.to_dense()
-    own, transposed = reductions(dense)
+    own, transposed = _reductions(d)
     wit_z = _min_cycle(dense, (own, transposed), budget)
     wit_x = _min_cycle(dense.T, (transposed, own), budget)
     return DistanceResult(
@@ -85,8 +91,7 @@ def distance_upper_bound(
     A None return is a proof that d_z exceeds `bound`: the search stops only
     once every cycle that light has been seen.
     """
-    dense = d.matrix.to_dense()
-    return _min_cycle(dense, reductions(dense), budget, bound)
+    return _min_cycle(d.matrix.to_dense(), _reductions(d), budget, bound)
 
 
 def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:

@@ -26,7 +26,7 @@ from .css import (
 )
 from .distance import distance, distance_upper_bound
 from .errors import BudgetError, ParameterError
-from .gf2 import BitMatrix, kernel_basis, vector_weight
+from .gf2 import BitMatrix, rref_kernel, vector_weight
 from .gf4 import (
     Gf4Matrix,
     enumerate_selfadjoint_invertible,
@@ -343,7 +343,7 @@ class MonteCarloParams:
 
 def _kernel_minimum(d: BoundaryOperator) -> int:
     """Exact minimum nonzero weight over the whole kernel of d."""
-    basis = kernel_basis(d.matrix)
+    basis = rref_kernel(*d.reduction)
     dim = basis.dim
     if dim > _SPAN_DIM_MAX:
         raise BudgetError(

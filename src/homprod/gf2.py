@@ -261,11 +261,20 @@ class Basis:
         return self.matrix == other.matrix
 
 
+def rref_row_space(reduced: BitMatrix, pivots: list[int]) -> Basis:
+    """Row space basis of a matrix, given its `rref()`: the leading rows."""
+    r = len(pivots)
+    return Basis(BitMatrix(r, reduced.cols, reduced.data[:r].copy()))
+
+
+def rref_kernel(reduced: BitMatrix, pivots: list[int]) -> Basis:
+    """Canonical basis of the right null space of a matrix, given its `rref()`."""
+    return row_space_basis(BitMatrix.from_dense(null_basis(reduced.to_dense(), pivots)))
+
+
 def row_space_basis(mat: BitMatrix) -> Basis:
     """Reduced echelon basis of the row space of `mat`."""
-    reduced, pivots = mat.rref()
-    r = len(pivots)
-    return Basis(BitMatrix(r, mat.cols, reduced.data[:r].copy()))
+    return rref_row_space(*mat.rref())
 
 
 def image_basis(mat: BitMatrix) -> Basis:
@@ -275,8 +284,7 @@ def image_basis(mat: BitMatrix) -> Basis:
 
 def kernel_basis(mat: BitMatrix) -> Basis:
     """Canonical basis of the right null space {v : mat v = 0}."""
-    reduced, pivots = mat.rref()
-    return row_space_basis(BitMatrix.from_dense(null_basis(reduced.to_dense(), pivots)))
+    return rref_kernel(*mat.rref())
 
 
 def in_span(v: np.ndarray, basis: Basis) -> bool:

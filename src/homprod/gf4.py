@@ -390,10 +390,13 @@ class Gf4Boundary:
 
     The image of such an operator is self-orthogonal, so it serves as the
     parity-check space of a stabilizer code on m qubits with
-    k = m - 2 rank = dim ker - dim im logical qubits.
+    k = m - 2 rank = dim ker - dim im logical qubits.  `reduction` is the
+    reduced form of delta and its pivots, computed once for the rank; since
+    delta* = delta it is also the reduced form of delta*, and the distance
+    search and witness check start from it.
     """
 
-    __slots__ = ("delta", "rank", "hom_dim")
+    __slots__ = ("delta", "reduction", "rank", "hom_dim")
 
     def __init__(self, delta: Gf4Matrix):
         if delta.rows != delta.cols:
@@ -403,7 +406,8 @@ class Gf4Boundary:
         if not (delta @ delta).is_zero():
             raise PreconditionError("operator does not square to zero")
         self.delta = delta
-        self.rank = gf4_rank(delta)
+        self.reduction = _rref_codes(delta.codes)
+        self.rank = len(self.reduction[1])
         self.hom_dim = delta.rows - 2 * self.rank
 
     @property
@@ -431,16 +435,16 @@ def hermitian_inner(f, g) -> Gf4Element:
 def is_self_orthogonal(basis) -> bool:
     """True when all pairwise Hermitian products of the span vanish.
 
-    Checking the generator pairs (including each with itself) suffices:
-    the product is sesquilinear, so it vanishes on spans iff it vanishes
-    on generators, and (g,f) is the conjugate of (f,g).
+    The product is sesquilinear, so it vanishes on spans iff it vanishes on
+    generators: the Gram matrix conj(V) V^T of the generator rows V is zero.
     """
     vecs = [gf4_vector(v) for v in basis]
-    return all(
-        not hermitian_inner(vecs[i], vecs[j])
-        for i in range(len(vecs))
-        for j in range(i, len(vecs))
-    )
+    if len({v.size for v in vecs}) > 1:
+        raise DimensionError("vectors must share one length")
+    if not vecs:
+        return True
+    v = np.array(vecs)
+    return not _matmul_codes(_CONJ[v], v.T).any()
 
 
 def gf4_boundary_from_checks(basis, u: Gf4Matrix, ambient_dim: int | None = None) -> Gf4Boundary:
@@ -538,14 +542,16 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 # generators carries its own test.  GF(2) is the 0/1 subfield: its operators
 # run on 0/1 codes with the single scalar 1, GF(4) ones with {1, w, W}.
 #
-# Set-up eliminates a and a* once each (a self-adjoint a once), and every
-# basis comes from those two reduced forms.  rref(a) gives the kernel basis,
-# which is the identity on the free columns of a and so is already the
-# first information set; later sets reduce it on the columns still unused,
-# until it vanishes there.  rref(a*) gives ker(a*) and, conjugated, the
-# reduced basis of im(a) = conj(rowspace(a*)), since conjugation commutes
-# with reduction.  The witness check tests membership of im(a) by reducing
-# the witness against that basis.
+# Every basis comes from the reduced forms of a and a*, which the caller
+# hands in.  A Gf4Boundary or BoundaryOperator keeps the reduced form its
+# constructor computed for the rank, and a self-adjoint delta is its own
+# delta*, so a GF(4) search eliminates neither and a GF(2) one only d^T.
+# rref(a) gives the kernel basis, which is the identity on the free columns
+# of a and so is already the first information set; later sets reduce it
+# on the columns still unused, until it vanishes there.  rref(a*) gives
+# ker(a*) and, conjugated, the reduced basis of im(a) = conj(rowspace(a*)),
+# since conjugation commutes with reduction.  The witness check tests
+# membership of im(a) by reducing the witness against that basis.
 #
 # Combinations are enumerated packed.  Each information set's generators are
 # packed once per search, with every scalar multiple: plane p of a vector
@@ -559,14 +565,17 @@ def steane_gf4_check_basis() -> list[np.ndarray]:
 # the one whose highest generator has coefficient 1.  A round whose table
 # fits in _TABLE_BYTES is that table, built once and kept for the next.
 #
-# The lower bound counts only how many rounds each set has done, so the
-# sets that join in the same round, max(1, k - r_j), go through the same
+# The lower bound counts finished sets: each set that finishes a round adds
+# one, so a round that starts at bound `bound` runs only its first
+# cut + 1 - bound sets and, when that is fewer than all, ends the search.
+# The sets that join in the same round, max(1, k - r_j), go through the same
 # rounds and share one enumeration.  Their packed generators are stacked
 # one after another along the word axis: one table list, one `_round` per
 # round and one `_fold` per block serve them all, and each set's weights,
 # syndrome tests and candidates come from its own rows.  Sets that join in
 # different rounds are enumerated apart, so a set that never joins costs
-# nothing.
+# nothing.  Sets run in join order, the groups already active first, and
+# within a group as a prefix of its stacked rows.
 
 
 @dataclass
@@ -732,17 +741,6 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, cu
     return cut, best
 
 
-def reductions(a: np.ndarray) -> tuple[Reduction, Reduction]:
-    """The reduced forms and pivots of a and of a*, the input of `min_cycle`.
-
-    A self-adjoint a, such as every GF(4) delta, is its own a* and is
-    eliminated once.
-    """
-    own = _rref_codes(a)
-    adjoint = _CONJ[a.T]
-    return own, own if np.array_equal(adjoint, a) else _rref_codes(adjoint)
-
-
 def min_cycle(
     a: np.ndarray,
     reduced: tuple[Reduction, Reduction],
@@ -752,21 +750,24 @@ def min_cycle(
 ) -> np.ndarray | None:
     """The (weight, lex)-least nontrivial cycle of weight <= limit, or None.
 
-    `a` is a code matrix and `reduced` is `reductions(a)`, from which the
-    kernel basis, the syndrome basis ker(a*), the first information set and
-    the image basis for the witness check all come.  Cycles are ker(a) and
-    trivial cycles im(a), and a cycle stands for its scalar multiples
-    through the one whose first nonzero entry is 1.  Round t enumerates, on
-    every information set j of rank r_j, each combination of t generators
-    whose highest one has coefficient 1, after which an unseen cycle weighs
-    at least sum_j max(0, t + 1 - (k - r_j)).  Rounds run until that bound
-    exceeds the best weight found (or `limit`, default the length), so
-    every lightest cycle has been seen.  Set j joins in round
-    max(1, k - r_j), when its term turns positive, and then catches up on
-    the rounds before it; the sets that join in one round are enumerated
-    together, their rows stacked in one table.  Vectors visited are counted
-    per set.  BudgetError is raised before a round that would take that
-    count past `budget`; the witness is checked before it is returned.
+    `a` is a code matrix and `reduced` holds the reduced forms and pivots
+    of a and of a*, from which the kernel basis, the syndrome basis ker(a*),
+    the first information set and the image basis for the witness check all
+    come.  Cycles are ker(a) and trivial cycles im(a), and a cycle stands
+    for its scalar multiples through the one whose first nonzero entry is 1.
+    Round t enumerates, on an information set j of rank r_j, each
+    combination of t generators whose highest one has coefficient 1.  The
+    bound counts finished sets: once set j has finished round t_j, an
+    unseen cycle weighs at least sum_j max(0, t_j + 1 - (k - r_j)).  The
+    search ends once that bound exceeds the best weight found (or `limit`,
+    default the length), so every lightest cycle has been seen; a round
+    runs, in join order, only as many sets as the bound still needs.  Set j
+    joins in round max(1, k - r_j), when its term turns positive, and then
+    catches up on the rounds before it; the sets that join in one round are
+    enumerated together, their rows stacked in one table.  Vectors visited
+    are counted per set that runs.  BudgetError is raised before a round
+    that would take that count past `budget`; the witness is checked before
+    it is returned.
     """
     n = a.shape[1]
     (own, pivots), (adjoint, adjoint_pivots) = reduced
@@ -786,7 +787,7 @@ def min_cycle(
     systematic = np.array([g for g, _ in info])
     multiples = _pack(_MUL[np.array(scalars)[:, None], systematic[:, :, None, :]], planes, words)
     data, syndrome = _mask(0, n, words), _mask(n, rows.shape[1], words)
-    k = len(gens)
+    extra, k = syndromes.shape[1], len(gens)
     # groups[g] is (join round, sets, stacked generators, tables) for the
     # sets that join in one round; tables[1] is the generators with
     # coefficient 1, lowest generator descending, and tables[0] is unused
@@ -800,25 +801,37 @@ def min_cycle(
     done = [0] * len(groups)
     cut, best, visited = n if limit is None else limit, None, 0
     for t in range(1, k + 1):
-        if sum(max(0, t - k + r) for _, r in info) > cut:
+        bound = sum(max(0, t - k + r) for _, r in info)
+        if bound > cut:
             break
-        todo = [
-            (g, u)
-            for g, (join, _, _, _) in enumerate(groups)
-            if join <= t
+        # (group, sets it runs): every set that finishes round t raises the
+        # bound by one, so only the first cut + 1 - bound sets in join order run
+        todo, need = [], cut + 1 - bound
+        for g, (join, size, _, _) in enumerate(groups):
+            if join <= t and need > 0:
+                todo.append((g, min(size, need)))
+                need -= size
+        visited += sum(
+            sets * math.comb(k, u) * len(scalars) ** (u - 1)
+            for g, sets in todo
             for u in range(done[g] + 1, t + 1)
-        ]
-        visited += sum(groups[g][1] * math.comb(k, u) * len(scalars) ** (u - 1) for g, u in todo)
+        )
         if visited > budget:
             raise BudgetError(
                 f"search needs {visited} vectors through round {t}, which exceeds "
                 f"the budget of {budget}; raise the budget to at least {visited}"
             )
-        for g, u in todo:
-            done[g] = u
-            _, _, stacked, tables = groups[g]
-            for block in _round(stacked, u, tables):
-                cut, best = _fold(block, planes, n, data, syndrome, syndromes.shape[1], cut, best)
+        for g, sets in todo:
+            _, size, stacked, tables = groups[g]
+            if sets < size:
+                # the round ends the search, so the group shrinks to its first sets' rows
+                prefix = sets * planes * words
+                stacked = stacked[..., :prefix]
+                tables[1:] = [(vecs[:prefix], starts) for vecs, starts in tables[1:]]
+            for u in range(done[g] + 1, t + 1):
+                for block in _round(stacked, u, tables):
+                    cut, best = _fold(block, planes, n, data, syndrome, extra, cut, best)
+            done[g] = t
     if best is not None:
         check_witness(a, best, cut, image)
     return best
@@ -850,7 +863,7 @@ def gf4_verify_witness(d: Gf4Boundary, witness) -> int:
     if v.size != d.m:
         raise DimensionError(f"witness has length {v.size}, operator has m={d.m}")
     weight = gf4_weight(v)
-    check_witness(d.delta.codes, v, weight, gf4_image(d.delta))
+    check_witness(d.delta.codes, v, weight, _image_basis(*d.reduction))
     return weight
 
 
@@ -865,7 +878,7 @@ def gf4_distance(
     search runs on one thread.
     """
     t0 = time.perf_counter()
-    witness = min_cycle(d.delta.codes, reductions(d.delta.codes), (1, 2, 3), budget)
+    witness = min_cycle(d.delta.codes, (d.reduction, d.reduction), (1, 2, 3), budget)
     return Gf4DistanceResult(
         d=gf4_weight(witness),
         witness=witness,
@@ -882,4 +895,4 @@ def gf4_distance_upper_bound(
     A None return is a proof that the distance exceeds `bound`: the search
     stops only once every cycle that light has been seen.
     """
-    return min_cycle(d.delta.codes, reductions(d.delta.codes), (1, 2, 3), budget, bound)
+    return min_cycle(d.delta.codes, (d.reduction, d.reduction), (1, 2, 3), budget, bound)

@@ -18,7 +18,7 @@ from .gf2 import (
     Basis,
     BitMatrix,
     image_basis,
-    kernel_basis,
+    rref_kernel,
     vector_to_bits,
 )
 
@@ -61,8 +61,8 @@ def kunneth_report(p: ProductComplex, cap: int = 400) -> dict:
         "dim_span": None,
     }
     if p.n <= cap:
-        k1 = kernel_basis(p.factor1.matrix)
-        k2 = kernel_basis(p.factor2.matrix)
+        k1 = rref_kernel(*p.factor1.reduction)
+        k2 = rref_kernel(*p.factor2.reduction)
         rows = []
         for u in k1.vectors:
             ub = vector_to_bits(u, p.factor1.m)

@@ -100,15 +100,19 @@ def test_matches_oracle_when_information_sets_join_together():
 
 
 def test_budget_counts_the_vectors_of_every_information_set():
-    # both sectors of this asymmetric css49 product visit 136,810 vectors
-    # over two information sets
+    # each sector of this asymmetric css49 product has k = 25 kernel
+    # generators and two information sets, of ranks 25 and 24, so the lower
+    # bound before round t is t + (t - 1).  Rounds 1 to 4 run both sets;
+    # round 5 starts at bound 9 = d and needs one finished set to exceed it,
+    # so it runs only the first set:
+    # 2 (C(25,1) + C(25,2) + C(25,3) + C(25,4)) + C(25,5) = 83,680 vectors
     u = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     d_u = boundary_from_checks(steane_check_basis(), u)
     d_v = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
     p = product(d_u, d_v).partial
-    with pytest.raises(BudgetError, match=r"at least 136810$"):
-        distance(p, budget=136_809)
-    res = distance(p, budget=136_810)
+    with pytest.raises(BudgetError, match=r"at least 83680$"):
+        distance(p, budget=83_679)
+    res = distance(p, budget=83_680)
     assert (res.d_z, res.d_x) == (9, 9)
 
 

@@ -619,11 +619,20 @@ def test_engine_matches_naive_enumeration_when_information_sets_join_together():
 
 
 def test_budget_counts_the_vectors_of_every_information_set():
+    # this 5-qubit^2 product has k = 13 kernel generators, 3 scalars and two
+    # information sets, of ranks 13 and 12, so the lower bound before round
+    # t is t + (t - 1).  Rounds 1 and 2 run both sets, 2 (13 + C(13,2) 3) =
+    # 494 vectors; round 3 starts at bound 5 = d and needs one finished set
+    # to exceed it, so it runs only the first: 494 + C(13,3) 3^2 = 3,068
     u = enumerate_selfadjoint_invertible(2)
     d1 = gf4_boundary_from_checks(five_qubit_check_basis(), u[0])
     d2 = gf4_boundary_from_checks(five_qubit_check_basis(), u[1])
+    p = gf4_product(d1, d2)
     with pytest.raises(BudgetError, match=r"at least 494$"):
-        gf4_distance(gf4_product(d1, d2), budget=100)
+        gf4_distance(p, budget=100)
+    with pytest.raises(BudgetError, match=r"at least 3068$"):
+        gf4_distance(p, budget=3_067)
+    assert gf4_distance(p, budget=3_068).d == 5
 
 
 @settings(max_examples=30, deadline=None)
