@@ -7,8 +7,8 @@ row as one little-endian int and reduces them with `gf4.eliminate`, the
 kernel both fields share, on a single bit plane.  A reduced form is unique
 for its row space, so every derived basis is deterministic; kernel and
 image bases are returned in reduced echelon form so span equality can be
-tested by direct comparison.  Null bases and span tests are gf4's
-`null_basis` and `residue` on 0/1 codes.
+tested by direct comparison.  Null bases, span tests and products are gf4's
+`null_basis`, `residue` and `matmul_codes` on 0/1 codes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .gf4 import eliminate, null_basis, residue
+from .gf4 import eliminate, matmul_codes, null_basis, residue
 
 WORD_BITS = 64
 
@@ -145,9 +145,7 @@ class BitMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # uint8 matmul wraps mod 256, which preserves parity.
-        prod = (self.to_dense() @ other.to_dense()) & 1
-        return BitMatrix.from_dense(prod)
+        return BitMatrix.from_dense(matmul_codes(self.to_dense(), other.to_dense()))
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)

@@ -4,7 +4,7 @@ The field GF(4) = {0, 1, w, W} (W = w^2) is represented by the codes 0, 1,
 2, 3, so addition is XOR of codes and multiplication, conjugation and
 inversion are lookups in small tables.  A matrix is one uint8 array of
 codes: a Kronecker product is one table lookup per entry, and a matrix
-product looks up every term of each sum and XORs them.
+product is the parity of integer products of bit planes (`matmul_codes`).
 
 A self-orthogonal subspace C (Hermitian products (f,g) = sum conj(f_j) g_j
 all zero) defines a stabilizer code with k = n - 2 dim C.  A boundary
@@ -45,7 +45,7 @@ from .errors import (
 )
 
 # Vectors a distance search may visit, and the bytes of one enumeration table
-# or block (packed words in a distance search, code terms in a matrix product).
+# or block of packed words in a distance search.
 DEFAULT_BUDGET = 1 << 32
 _TABLE_BYTES = 1 << 20
 
@@ -128,13 +128,18 @@ def gf4_weight(v: np.ndarray) -> int:
     return int(np.count_nonzero(v))
 
 
-def _matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product a @ b, over blocks of rows whose terms fill about _TABLE_BYTES."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    step = max(1, _TABLE_BYTES // max(1, a.shape[1] * b.shape[1]))
-    for i in range(0, a.shape[0], step):
-        out[i : i + step] = np.bitwise_xor.reduce(_MUL[a[i : i + step, :, None], b[None]], axis=1)
-    return out
+def matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a @ b of code arrays, from integer products of bit planes.
+
+    Each plane of the product is the parity of integer sums, which uint8 keeps
+    as it wraps mod 256.  0/1 codes need one product; otherwise a = a0 + a1 w
+    and w^2 = 1 + w give the planes a0 b0 + a1 b1 and (a0 + a1)(b0 + b1) + a0 b0.
+    """
+    if a.max(initial=0) <= 1 and b.max(initial=0) <= 1:
+        return (a @ b) & 1
+    a0, a1, b0, b1 = a & 1, a >> 1, b & 1, b >> 1
+    low = a0 @ b0
+    return (low ^ a1 @ b1) & 1 | ((low ^ (a0 ^ a1) @ (b0 ^ b1)) & 1) << 1
 
 
 def _code(s) -> int:
@@ -216,7 +221,7 @@ class Gf4Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Gf4Matrix(_matmul_codes(self.codes, other.codes))
+        return Gf4Matrix(matmul_codes(self.codes, other.codes))
 
     def scale(self, s) -> "Gf4Matrix":
         return Gf4Matrix(_MUL[_code(s), self.codes])
@@ -429,7 +434,7 @@ def hermitian_inner(f, g) -> Gf4Element:
     g = gf4_vector(g)
     if f.shape != g.shape:
         raise DimensionError(f"length mismatch: {f.size} vs {g.size}")
-    return Gf4Element(int(_matmul_codes(_CONJ[f][None, :], g[:, None])[0, 0]))
+    return Gf4Element(int(matmul_codes(_CONJ[f][None, :], g[:, None])[0, 0]))
 
 
 def is_self_orthogonal(basis) -> bool:
@@ -444,7 +449,7 @@ def is_self_orthogonal(basis) -> bool:
     if not vecs:
         return True
     v = np.array(vecs)
-    return not _matmul_codes(_CONJ[v], v.T).any()
+    return not matmul_codes(_CONJ[v], v.T).any()
 
 
 def gf4_boundary_from_checks(basis, u: Gf4Matrix, ambient_dim: int | None = None) -> Gf4Boundary:
@@ -734,8 +739,10 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, cu
     w = int(weights[hit].min())
     top = hit & (weights == w)
     cands = _unpack(block[sets[top], :, :, cols[top]], planes, n)
-    lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
-    cand = min(_MUL[_INV[lead][:, None], cands], key=np.ndarray.tobytes)
+    if planes > 1:
+        lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
+        cands = _MUL[_INV[lead][:, None], cands]
+    cand = min(cands, key=np.ndarray.tobytes)
     if best is None or w < cut or cand.tobytes() < best.tobytes():
         return w, cand
     return cut, best
@@ -774,7 +781,7 @@ def min_cycle(
     gens = null_basis(own, pivots)
     dual = null_basis(adjoint, adjoint_pivots)
     image = _image_basis(adjoint, adjoint_pivots)
-    syndromes = _matmul_codes(gens, _CONJ[dual].T)
+    syndromes = matmul_codes(gens, _CONJ[dual].T)
     syndromes = syndromes[:, _rref_codes(syndromes)[1]]
     if syndromes.shape[1] == 0:
         raise NoLogicalsError("operator has no homology; distance is undefined")
@@ -847,7 +854,7 @@ def check_witness(a: np.ndarray, witness: np.ndarray, weight: int, image: np.nda
     """
     if gf4_weight(witness) != weight:
         raise WitnessError(f"witness has weight {gf4_weight(witness)}, not {weight}")
-    if _matmul_codes(a, witness[:, None]).any():
+    if matmul_codes(a, witness[:, None]).any():
         raise WitnessError("witness is not a cycle")
     if not residue(image, witness).any():
         raise WitnessError("witness is a trivial cycle")

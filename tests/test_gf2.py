@@ -57,6 +57,18 @@ def test_matmul_matches_dense():
     assert np.array_equal(dense(a @ b), expect)
 
 
+def test_matmul_past_255_columns_matches_int64_product():
+    # the uint8 sums of these products wrap; their parity must not change
+    rng = np.random.default_rng(11)
+    cases = [rng.integers(0, 2, size=(5, 300)), np.ones((1, 300), dtype=int)]
+    cases += [np.ones((2, 257), dtype=int), rng.integers(0, 2, size=(3, 512))]
+    for a in cases:
+        b = rng.integers(0, 2, size=(a.shape[1], 4))
+        for right in (b, a.T):
+            got = BitMatrix.from_dense(a) @ BitMatrix.from_dense(right)
+            assert np.array_equal(dense(got), (a.astype(np.int64) @ right) % 2)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionError):
         BitMatrix.zeros(2, 3) @ BitMatrix.zeros(4, 2)

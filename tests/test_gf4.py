@@ -240,11 +240,22 @@ def test_matrix_addition_matches_table_oracle():
 
 def test_matrix_product_matches_table_oracle():
     rng = np.random.default_rng(3)
-    for rows, mid, cols in [(3, 4, 5), (1, 7, 2), (6, 1, 6), (4, 4, 4)]:
-        a = random_codes(rng, rows, mid)
-        b = random_codes(rng, mid, cols)
-        got = (Gf4Matrix.from_codes(a) @ Gf4Matrix.from_codes(b)).to_codes()
-        assert np.array_equal(got, naive_matmul(a, b))
+    # inner dimensions of 256 and more make uint8 sums wrap; empty shapes too
+    shapes = [(3, 4, 5), (1, 7, 2), (6, 1, 6), (4, 4, 4), (2, 256, 3), (3, 300, 2)]
+    shapes += [(0, 3, 4), (3, 0, 4), (3, 4, 0)]
+    for rows, mid, cols in shapes:
+        # GF(4) and 0/1 operands on either side
+        for a_top, b_top in [(4, 4), (2, 2), (2, 4), (4, 2)]:
+            a = rng.integers(0, a_top, size=(rows, mid), dtype=np.uint8)
+            b = rng.integers(0, b_top, size=(mid, cols), dtype=np.uint8)
+            got = (Gf4Matrix.from_codes(a) @ Gf4Matrix.from_codes(b)).to_codes()
+            assert got.shape == (rows, cols)
+            assert np.array_equal(got, naive_matmul(a, b))
+    for mid in (256, 257, 300):
+        for s in range(1, 4):
+            a = np.full((1, mid), s, dtype=np.uint8)
+            got = (Gf4Matrix.from_codes(a) @ Gf4Matrix.from_codes(a.T)).to_codes()
+            assert np.array_equal(got, naive_matmul(a, a.T))
 
 
 def test_scale_conjugate_transpose_adjoint_match_tables():
