@@ -21,7 +21,7 @@ import numpy as np
 
 from .complexes import BoundaryOperator, canonical_witness
 from .errors import DimensionError, ParameterError, PreconditionError
-from .gf2 import BitMatrix, image_basis, row_space_basis, rref_row_space
+from .gf2 import BitMatrix, row_space_basis, rref_row_space
 from .product import ProductComplex
 
 VALID_TAGS = ("data", "zero", "plus", "epr_a", "epr_b")
@@ -290,6 +290,6 @@ def verify_encoder(circuit: EncodingCircuit, target) -> bool:
         )
     tableau = initial_tableau(circuit)
     tableau.apply_circuit(circuit.gates)
-    z_ok = row_space_basis(tableau.z_part) == image_basis(op.matrix)
+    z_ok = row_space_basis(tableau.z_part) == rref_row_space(*op.transposed_reduction)
     x_ok = row_space_basis(tableau.x_part) == rref_row_space(*op.reduction)
     return z_ok and x_ok

@@ -16,12 +16,12 @@ from .gf2 import (
     Basis,
     BitMatrix,
     extend_basis,
-    image_basis,
     inverse,
     preimages,
     random_invertible,
     row_space_basis,
     rref_kernel,
+    rref_row_space,
     vector_from_bits,
     vector_to_bits,
 )
@@ -35,9 +35,11 @@ class BoundaryOperator:
     at construction for the rank and homological dimension.  Kernel bases,
     the row space and the distance search start from it, so none of them
     eliminates the matrix again; instances are treated as immutable.
+    `transposed_reduction` does the same for the transpose, whose row space
+    is the image, on first use.
     """
 
-    __slots__ = ("matrix", "reduction", "rank", "hom_dim")
+    __slots__ = ("matrix", "reduction", "rank", "hom_dim", "_transposed")
 
     def __init__(self, matrix: BitMatrix):
         if matrix.rows != matrix.cols:
@@ -48,10 +50,18 @@ class BoundaryOperator:
         self.reduction = matrix.rref()
         self.rank = len(self.reduction[1])
         self.hom_dim = matrix.rows - 2 * self.rank
+        self._transposed = None
 
     @property
     def m(self) -> int:
         return self.matrix.rows
+
+    @property
+    def transposed_reduction(self) -> tuple[BitMatrix, list[int]]:
+        """`matrix.transpose().rref()`, eliminated on first use and then kept."""
+        if self._transposed is None:
+            self._transposed = self.matrix.transpose().rref()
+        return self._transposed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoundaryOperator):
@@ -144,7 +154,7 @@ def homology_representatives(d: BoundaryOperator) -> list[np.ndarray]:
     The returned H vectors are coset representatives of the homology group;
     selection is greedy over the canonical kernel basis, hence deterministic.
     """
-    return extend_basis(image_basis(d.matrix), rref_kernel(*d.reduction))
+    return extend_basis(rref_row_space(*d.transposed_reduction), rref_kernel(*d.reduction))
 
 
 def canonical_witness(d: BoundaryOperator) -> BitMatrix:
@@ -156,7 +166,7 @@ def canonical_witness(d: BoundaryOperator) -> BitMatrix:
     """
     m = d.m
     h = d.hom_dim
-    im = image_basis(d.matrix)
+    im = rref_row_space(*d.transposed_reduction)
     # homology_representatives(d), reusing this image basis
     hvecs = extend_basis(im, rref_kernel(*d.reduction))
     images = im.matrix.to_dense().T

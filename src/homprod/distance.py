@@ -20,7 +20,7 @@ import numpy as np
 from .complexes import BoundaryOperator
 from .errors import DimensionError
 from .gf2 import vector_from_bits, vector_to_bits, vector_weight, zero_vector
-from .gf4 import DEFAULT_BUDGET, Gf4Matrix, Reduction, check_witness, gf4_image, min_cycle
+from .gf4 import DEFAULT_BUDGET, Reduction, check_witness, min_cycle
 
 
 @dataclass
@@ -37,8 +37,8 @@ class DistanceResult:
 
 
 def _reductions(d: BoundaryOperator) -> tuple[Reduction, Reduction]:
-    """The reduced forms and pivots of d, stored, and of d^T, eliminated here, as 0/1 codes."""
-    pairs = d.reduction, d.matrix.transpose().rref()
+    """The stored reduced forms and pivots of d and of d^T, as 0/1 codes."""
+    pairs = d.reduction, d.transposed_reduction
     return tuple((reduced.to_dense(), pivots) for reduced, pivots in pairs)
 
 
@@ -103,6 +103,7 @@ def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
     if witness.shape != zero_vector(d.m).shape:
         raise DimensionError(f"witness has {witness.size} words, operator has m={d.m}")
     weight = vector_weight(witness)
-    dense = d.matrix.to_dense()
-    check_witness(dense, vector_to_bits(witness, d.m), weight, gf4_image(Gf4Matrix(dense)))
+    image, pivots = d.transposed_reduction
+    bits = vector_to_bits(witness, d.m)
+    check_witness(d.matrix.to_dense(), bits, weight, image.to_dense()[: len(pivots)])
     return weight

@@ -2,9 +2,9 @@
 
 Matrices are stored row-major with 64 coordinates per machine word, so row
 addition is a word-wise XOR and weight queries are word-wise popcounts.
-Elimination runs on integer rows: `BitMatrix.rref` reads the words of each
-row as one little-endian int and reduces them with `gf4.eliminate`, the
-kernel both fields share, on a single bit plane.  A reduced form is unique
+Elimination runs on one integer per matrix: `BitMatrix.rref` reads its
+words, row after row, as one little-endian int and reduces it with
+`gf4.eliminate`, the kernel both fields share, on a single bit plane.  A reduced form is unique
 for its row space, so every derived basis is deterministic; kernel and
 image bases are returned in reduced echelon form so span equality can be
 tested by direct comparison.  Null bases, span tests and products are gf4's
@@ -180,8 +180,9 @@ class BitMatrix:
     def rref(self) -> tuple["BitMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns.
 
-        The rows are reduced as integers by `gf4.eliminate`; the result is
-        the unique reduced form of the row space and shares no storage with
+        The matrix is reduced as one integer by `gf4.eliminate`, which
+        clears each pivot column in every row at once; the result is the
+        unique reduced form of the row space and shares no storage with
         this matrix.
         """
         words = self.data.shape[1]

@@ -18,18 +18,17 @@ tests each combination for nontriviality by its Hermitian products with
 ker(delta*), and stops once its lower bound on every unseen cycle exceeds
 the lightest nontrivial cycle found.  GF(2) operators are its 0/1 case.
 Both elimination and enumeration run on bit planes, one per bit of a code
-(one for GF(2), two for GF(4)): elimination holds each row as one Python
-int of planes, and the enumeration packs them in uint64 words, so a
-combination of generators costs one XOR per word and its weight one
-popcount per word.
+(one for GF(2), two for GF(4)).  Elimination holds the whole matrix as one
+Python int, row after row, and clears each pivot column in every row with
+a fixed number of integer operations.  The enumeration packs the planes in
+uint64 words, so a combination of generators costs one XOR per word and
+its weight one popcount per word.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -262,19 +261,28 @@ class Gf4Matrix:
 #
 # One kernel, `eliminate`, reduces matrices over both fields; `_rref_codes`
 # and the GF(2) kit's `BitMatrix.rref` are conversions around it.  Each row
-# is one Python int of bit planes of a fixed width (whole bytes for codes,
-# whole 64-bit words for a BitMatrix): plane p holds bit p of every code,
-# column j at bit p * width + j, so a + b w keeps its 1-coefficient a in
-# plane 0 and its w-coefficient b in plane 1.  0/1 matrices, GF(2) ones
-# among them, need plane 0 only and have the same reduced form over either
-# field; a BitMatrix row read as a little-endian int is such a row.
-# Multiplying by w maps the planes (a, b) to (b, a ^ b), since w (a + b w) =
-# b + (a + b) w, and by W = w^2 maps them to (a ^ b, a).  Each pivot, the
-# leftmost column with an entry in an unused row, comes from the topmost
-# such row and is scaled to 1.  Its multiples by 1, w and W, keyed by the
-# bits their entry has in the pivot column, let one pass of XORs clear the
-# column, touching only the rows with an entry there.  Reduced forms are
-# unique for the row space, so every basis derived from them is canonical.
+# is a run of bit planes of a fixed width (whole bytes for codes, whole
+# 64-bit words for a BitMatrix): plane p holds bit p of every code, column
+# j at bit p * width + j, so a + b w keeps its 1-coefficient a in plane 0
+# and its w-coefficient b in plane 1.  0/1 matrices, GF(2) ones among them,
+# need plane 0 only and have the same reduced form over either field; a
+# BitMatrix row read as a little-endian int is such a row.  Multiplying by
+# w maps the planes (a, b) to (b, a ^ b), since w (a + b w) = b + (a + b) w,
+# and by W = w^2 maps them to (a ^ b, a).
+#
+# The whole matrix is one Python int, row i at bit i * L for rows of L bits,
+# so a column is cleared in every row by a fixed number of integer
+# operations.  With R the int that has bit 0 of every row set, rest >> c & R
+# marks the rows with an entry in column c of a plane, and (m << L) - m
+# spreads each mark over its whole row; ANDing that with the pivot row
+# repeated once per row picks the rows to XOR it into.  An entry a + b w
+# takes a times the pivot row and b times w times it, one mark per plane.
+# Each pivot, the leftmost column with an entry in an unused row, comes
+# from the last such row and is scaled to 1; clearing its column empties
+# that row, and the top unused row moves into its place, so the unused rows
+# stay packed.  The pivot rows go to a second int in pivot order, whose
+# column is cleared the same way.  Reduced forms are unique for the row
+# space, so every basis derived from them is canonical.
 
 
 # A reduced row echelon form and its pivot columns.
@@ -289,33 +297,46 @@ def eliminate(raw: bytes, rows: int, width: int) -> tuple[bytes, list[int]]:
     the reduced nonzero rows in pivot order, then zero rows.
     """
     step = len(raw) // rows if rows else 0
+    span = 8 * step
+    two = span > width
+    unit = int.from_bytes(b"\1".ljust(step, b"\0") * rows, "little")
     mask = (1 << width) - 1
-    rest = [x for i in range(rows) if (x := int.from_bytes(raw[i * step : (i + 1) * step], "little"))]
-    done: list[int] = []
-    pivots: list[int] = []
-    while rest:
-        either = functools.reduce(operator.or_, rest)
-        either = (either | either >> width) & mask
-        # an entry a + b w in the pivot column shows as the bits a * one | b * two
-        one = either & -either
-        two = one << width
-        both = one | two
-        for i, x in enumerate(rest):
-            if x & both:
-                break
-        row = rest.pop(i)
+    rest, count = int.from_bytes(raw, "little"), rows
+    done, pivots = 0, []
+    for c in range(width):
+        if not rest:
+            break
+        # bit 0 of each row of `rest` whose entry a + b w in column c has a = 1 (ha), b = 1 (hb)
+        ha = rest >> c & unit
+        hb = rest >> c + width & unit if two else 0
+        if not ha | hb:
+            continue
+        at = (ha | hb).bit_length() - 1
+        row = rest >> at & (1 << span) - 1
         a, b = row & mask, row >> width
-        lead = row & both
-        if lead == two:
-            a, b = a ^ b, a
-        elif lead == both:
-            a, b = b, a ^ b
-        times = {one: a | b << width, two: b | (a ^ b) << width, both: a ^ b | a << width}
-        rest = [y for x in rest if (y := x ^ times[e] if (e := x & both) else x)]
-        done = [x ^ times[e] if (e := x & both) else x for x in done]
-        done.append(times[one])
-        pivots.append(one.bit_length() - 1)
-    return b"".join(x.to_bytes(step, "little") for x in done).ljust(len(raw), b"\0"), pivots
+        if b >> c & 1:
+            # scale an entry W by w, an entry w by W
+            a, b = (b, a ^ b) if a >> c & 1 else (a ^ b, a)
+        one = a | b << width
+        k = len(pivots)
+        copies = max(count, k)
+        x = int.from_bytes(one.to_bytes(step, "little") * copies, "little")
+        rest ^= ((ha << span) - ha) & x
+        ha = done >> c & unit
+        done ^= ((ha << span) - ha) & x
+        if two:
+            # the pivot row times w, which has entry w in column c
+            x = int.from_bytes((b | (a ^ b) << width).to_bytes(step, "little") * copies, "little")
+            rest ^= ((hb << span) - hb) & x
+            hb = done >> c + width & unit
+            done ^= ((hb << span) - hb) & x
+        # the pivot row is zero now, and the top unused row takes its place
+        count -= 1
+        top = rest >> count * span
+        rest ^= top << at ^ top << count * span
+        done |= one << k * span
+        pivots.append(c)
+    return done.to_bytes(len(raw), "little"), pivots
 
 
 def _rref_codes(a: np.ndarray) -> Reduction:

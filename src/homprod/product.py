@@ -17,8 +17,8 @@ from .errors import InvariantError, NoLogicalsError
 from .gf2 import (
     Basis,
     BitMatrix,
-    image_basis,
     rref_kernel,
+    rref_row_space,
     vector_to_bits,
 )
 
@@ -69,7 +69,7 @@ def kunneth_report(p: ProductComplex, cap: int = 400) -> dict:
             for v in k2.vectors:
                 vb = vector_to_bits(v, p.factor2.m)
                 rows.append(np.kron(ub, vb))
-        im = image_basis(p.partial.matrix)
+        im = rref_row_space(*p.partial.transposed_reduction)
         rows.extend(vector_to_bits(v, p.n) for v in im.vectors)
         if rows:
             span = BitMatrix.from_dense(np.array(rows, dtype=np.uint8))
@@ -99,7 +99,7 @@ def logical_basis(p: ProductComplex) -> Basis:
         for v in reps2:
             rows.append(np.kron(ub, vector_to_bits(v, p.factor2.m)))
     reps = BitMatrix.from_dense(np.array(rows, dtype=np.uint8))
-    im = image_basis(p.partial.matrix)
+    im = rref_row_space(*p.partial.transposed_reduction)
     stacked = BitMatrix.from_dense(
         np.concatenate([im.matrix.to_dense(), reps.to_dense()], axis=0)
     )

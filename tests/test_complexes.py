@@ -14,6 +14,7 @@ from homprod.complexes import (
     reduced_boundary,
 )
 from homprod.gf2 import (
+    image_basis,
     in_span,
     inverse,
     kernel_basis,
@@ -21,6 +22,7 @@ from homprod.gf2 import (
     vector_from_support,
     vector_to_bits,
 )
+from homprod.product import product
 
 
 def test_canonical_small_shapes():
@@ -186,4 +188,18 @@ def test_reduced_kernel_matches_projected_kernel():
         )
         assert row_space_basis(BitMatrix.from_dense(projected)) == row_space_basis(
             kernel_basis(r.delta_prime).matrix
+        )
+
+
+def test_transposed_reduction_is_the_stored_rref_of_the_transpose():
+    rng = np.random.default_rng(16)
+    ops = [random_boundary(m, h, rng) for m, h in ((1, 1), (6, 2), (9, 3), (20, 0), (70, 2))]
+    ops.append(product(ops[1], ops[2]).partial)
+    for d in ops:
+        reduced, pivots = d.transposed_reduction
+        expected, expected_pivots = d.matrix.transpose().rref()
+        assert reduced == expected and pivots == expected_pivots
+        assert d.transposed_reduction is d.transposed_reduction
+        assert image_basis(d.matrix).matrix == BitMatrix(
+            len(pivots), d.m, reduced.data[: len(pivots)]
         )

@@ -229,3 +229,34 @@ def test_gf2_span_helpers_match_naive_elimination(drawn):
             inverse(a)
     else:
         assert inverse(a).to_dense().tolist() == [row[n:] for row in reduced]
+
+
+def many_rows(rng: np.random.Generator, symbols: int, rows: int, cols: int) -> list[list[int]]:
+    """A rank-deficient matrix: combinations of a few random rows, some repeated
+    and rescaled, some zero, over leading zero columns."""
+    rank = int(rng.integers(1, 25))
+    base = rng.integers(0, symbols, (rank, cols), dtype=np.uint8)
+    base[:, : int(rng.integers(0, 10))] = 0
+    coefficients = rng.integers(0, symbols, (rows, rank), dtype=np.uint8)
+    m = np.bitwise_xor.reduce(MUL[coefficients[:, :, None], base[None]], axis=1)
+    for i in rng.choice(rows, rows // 4, replace=False):
+        m[i] = MUL[rng.integers(1, symbols), m[rng.integers(rows)]]
+    m[rng.choice(rows, rows // 8, replace=False)] = 0
+    return m.tolist()
+
+
+@pytest.mark.parametrize("symbols", [2, 4])
+def test_more_rows_than_a_word_match_naive_elimination(symbols):
+    # the kernel's masks span every row of the matrix, so draw past 64 rows
+    rng = np.random.default_rng([16, symbols])
+    for rows, cols in ((65, 70), (100, 129), (130, 65), (128, 200)):
+        drawn = many_rows(rng, symbols, rows, cols)
+        expected, pivots = naive_rref(drawn, cols, GF2 if symbols == 2 else GF4)
+        if symbols == 2:
+            reduced, got = BitMatrix.from_dense(as_array(drawn, cols)).rref()
+            assert got == pivots
+            assert reduced.to_dense().tolist() == expected
+        else:
+            m = Gf4Matrix(as_array(drawn, cols))
+            assert gf4_row_space(m).tolist() == expected[: len(pivots)]
+            assert gf4_kernel(m).tolist() == naive_null_basis(expected, pivots, cols)
