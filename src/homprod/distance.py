@@ -19,7 +19,7 @@ import numpy as np
 
 from .complexes import BoundaryOperator
 from .errors import DimensionError
-from .gf2 import vector_from_bits, vector_to_bits, vector_weight, zero_vector
+from .gf2 import rref_row_space, vector_from_bits, vector_to_bits, vector_weight, zero_vector
 from .gf4 import DEFAULT_BUDGET, Reduction, check_witness, min_cycle
 
 
@@ -103,7 +103,6 @@ def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
     if witness.shape != zero_vector(d.m).shape:
         raise DimensionError(f"witness has {witness.size} words, operator has m={d.m}")
     weight = vector_weight(witness)
-    image, pivots = d.transposed_reduction
-    bits = vector_to_bits(witness, d.m)
-    check_witness(d.matrix.to_dense(), bits, weight, image.to_dense()[: len(pivots)])
+    image = rref_row_space(*d.transposed_reduction).matrix.to_dense()
+    check_witness(d.matrix.to_dense(), vector_to_bits(witness, d.m), weight, image)
     return weight

@@ -4,11 +4,12 @@ Matrices are stored row-major with 64 coordinates per machine word, so row
 addition is a word-wise XOR and weight queries are word-wise popcounts.
 Elimination runs on one integer per matrix: `BitMatrix.rref` reads its
 words, row after row, as one little-endian int and reduces it with
-`gf4.eliminate`, the kernel both fields share, on a single bit plane.  A reduced form is unique
-for its row space, so every derived basis is deterministic; kernel and
-image bases are returned in reduced echelon form so span equality can be
-tested by direct comparison.  Null bases, span tests and products are gf4's
-`null_basis`, `residue` and `matmul_codes` on 0/1 codes.
+`gf4.eliminate`, the kernel both fields share, on a single bit plane.  A
+reduced form is unique for its row space, so every derived basis is
+deterministic; kernel and image bases are returned in reduced echelon form
+so span equality can be tested by direct comparison.  Null bases, span
+tests and products are gf4's `null_basis`, `residue` and `matmul_codes` on
+0/1 codes.
 """
 
 from __future__ import annotations

@@ -270,10 +270,10 @@ class Gf4Matrix:
 # w maps the planes (a, b) to (b, a ^ b), since w (a + b w) = b + (a + b) w,
 # and by W = w^2 maps them to (a ^ b, a).
 #
-# The whole matrix is one Python int, row i at bit i * L for rows of L bits,
-# so a column is cleared in every row by a fixed number of integer
-# operations.  With R the int that has bit 0 of every row set, rest >> c & R
-# marks the rows with an entry in column c of a plane, and (m << L) - m
+# The whole matrix is one Python int, row i at bit i * span, so a column is
+# cleared in every row by a fixed number of integer operations.  With
+# `unit` the int that has bit 0 of every row set, rest >> c & unit marks
+# the rows with an entry in column c of a plane, and (m << span) - m
 # spreads each mark over its whole row; ANDing that with the pivot row
 # repeated once per row picks the rows to XOR it into.  An entry a + b w
 # takes a times the pivot row and b times w times it, one mark per plane.
