@@ -25,7 +25,7 @@ from .gf2 import (
     vector_from_bits,
     vector_to_bits,
 )
-from .gf4 import residue
+from .linalg import residue
 
 
 class BoundaryOperator:

@@ -1,10 +1,8 @@
 """Exact minimum-weight search over nontrivial cycles and cocycles.
 
 d_z is the least weight over ker(d) outside im(d), and d_x the same for the
-transposed operator.  Both come from the information-set search
-`gf4.min_cycle`, run on 0/1 codes with the single scalar 1: GF(2) is the 0/1
-subfield of GF(4), so the search, its nontriviality test and its witness
-check are the GF(4) ones.
+transposed operator.  Both come from `search.min_cycle`, the search both
+fields share, run on 0/1 codes with the single scalar 1.
 
 Witnesses are the (weight, lexicographic)-least nontrivial cycles, which
 makes them independent of the order of the search.
@@ -20,7 +18,8 @@ import numpy as np
 from .complexes import BoundaryOperator
 from .errors import DimensionError
 from .gf2 import rref_row_space, vector_from_bits, vector_to_bits, vector_weight, zero_vector
-from .gf4 import DEFAULT_BUDGET, Reduction, check_witness, min_cycle
+from .linalg import Reduction
+from .search import DEFAULT_BUDGET, check_witness, min_cycle
 
 
 @dataclass
@@ -43,7 +42,7 @@ def _reductions(d: BoundaryOperator) -> tuple[Reduction, Reduction]:
 
 
 def _min_cycle(a: np.ndarray, reduced, budget: int, limit: int | None = None) -> np.ndarray | None:
-    """`gf4.min_cycle` on a dense 0/1 matrix, given the reduced forms of a and a^T."""
+    """`search.min_cycle` on a dense 0/1 matrix, given the reduced forms of a and a^T."""
     found = min_cycle(a, reduced, (1,), budget, limit)
     return None if found is None else vector_from_bits(found)
 
@@ -92,6 +91,17 @@ def distance_upper_bound(
     once every cycle that light has been seen.
     """
     return _min_cycle(d.matrix.to_dense(), _reductions(d), budget, bound)
+
+
+def kernel_minimum(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> int:
+    """Exact minimum nonzero weight over the whole kernel of d.
+
+    Against a 0 x m adjoint every nonzero kernel vector counts as nontrivial.
+    """
+    reduced, pivots = d.reduction
+    empty = (np.zeros((0, d.m), np.uint8), [])
+    found = min_cycle(d.matrix.to_dense(), ((reduced.to_dense(), pivots), empty), (1,), budget)
+    return int(np.count_nonzero(found))
 
 
 def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:

@@ -24,9 +24,9 @@ from .css import (
     stabilizer_weight,
     steane_check_basis,
 )
-from .distance import distance, distance_upper_bound
+from .distance import distance, distance_upper_bound, kernel_minimum
 from .errors import BudgetError, ParameterError
-from .gf2 import BitMatrix, rref_kernel, vector_weight
+from .gf2 import BitMatrix, vector_weight
 from .gf4 import (
     Gf4Matrix,
     enumerate_selfadjoint_invertible,
@@ -43,7 +43,6 @@ from .gf4 import (
 from .product import product
 
 DEFAULT_SEED = 1105
-_SPAN_DIM_MAX = 22
 _SAMPLE_BUDGET = 10**6
 _MIXED_PAIR_CAP = 200
 
@@ -341,27 +340,6 @@ class MonteCarloParams:
         }
 
 
-def _kernel_minimum(d: BoundaryOperator) -> int:
-    """Exact minimum nonzero weight over the whole kernel of d."""
-    basis = rref_kernel(*d.reduction)
-    dim = basis.dim
-    if dim > _SPAN_DIM_MAX:
-        raise BudgetError(
-            f"kernel span enumeration needs 2^{dim} steps; the cap is 2^{_SPAN_DIM_MAX}"
-        )
-    rows = basis.matrix.data
-    table = np.zeros((1 << dim, rows.shape[1]), dtype=np.uint64)
-    size = 1
-    for g in rows:
-        np.bitwise_xor(table[:size], g, out=table[size : 2 * size])
-        size *= 2
-    if rows.shape[1] == 1:
-        weights = np.bitwise_count(table[:, 0])
-    else:
-        weights = np.bitwise_count(table).sum(axis=1, dtype=np.uint32)
-    return int(weights[1:].min())
-
-
 def _d_z(d: BoundaryOperator) -> int:
     """d_z alone: the z sector of `distance`, the same search with the same cut M."""
     return vector_weight(distance_upper_bound(d, d.m))
@@ -385,7 +363,7 @@ def montecarlo(p: MonteCarloParams) -> ExperimentReport:
     sandwich_violations = 0
     for _ in range(p.samples):
         d1 = random_boundary(p.m, p.h, rng)
-        if _kernel_minimum(d1) < p.c * p.m:
+        if kernel_minimum(d1) < p.c * p.m:
             low_weight += 1
         if not is_good(d1, p.m_prime):
             not_good += 1

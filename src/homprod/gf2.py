@@ -4,12 +4,12 @@ Matrices are stored row-major with 64 coordinates per machine word, so row
 addition is a word-wise XOR and weight queries are word-wise popcounts.
 Elimination runs on one integer per matrix: `BitMatrix.rref` reads its
 words, row after row, as one little-endian int and reduces it with
-`gf4.eliminate`, the kernel both fields share, on a single bit plane.  A
+`linalg.eliminate`, the kernel both fields share, on a single bit plane.  A
 reduced form is unique for its row space, so every derived basis is
 deterministic; kernel and image bases are returned in reduced echelon form
 so span equality can be tested by direct comparison.  Null bases, span
-tests and products are gf4's `null_basis`, `residue` and `matmul_codes` on
-0/1 codes.
+tests and products are linalg's `null_basis`, `residue` and `matmul_codes`
+on 0/1 codes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .gf4 import eliminate, matmul_codes, null_basis, residue
+from .linalg import eliminate, matmul_codes, null_basis, residue
 
 WORD_BITS = 64
 
@@ -181,7 +181,7 @@ class BitMatrix:
     def rref(self) -> tuple["BitMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns.
 
-        The matrix is reduced as one integer by `gf4.eliminate`, which
+        The matrix is reduced as one integer by `linalg.eliminate`, which
         clears each pivot column in every row at once; the result is the
         unique reduced form of the row space and shares no storage with
         this matrix.
@@ -278,7 +278,11 @@ def row_space_basis(mat: BitMatrix) -> Basis:
 
 
 def image_basis(mat: BitMatrix) -> Basis:
-    """Canonical basis of the column space, as vectors of length `rows`."""
+    """Canonical basis of the column space, as vectors of length `rows`.
+
+    Kept as the independent reference of the tests and the perfbench checks;
+    the package reads images from stored reductions.
+    """
     return row_space_basis(mat.transpose())
 
 

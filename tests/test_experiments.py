@@ -11,13 +11,13 @@ import pytest
 
 from homprod import BudgetError, ParameterError
 from homprod.complexes import BoundaryOperator, random_boundary
+from homprod.distance import kernel_minimum
 from homprod.experiments import (
     DEFAULT_SEED,
     MANIFEST,
     ExperimentReport,
     MonteCarloParams,
     _invertible_3x3,
-    _kernel_minimum,
     montecarlo,
     steane_by_fivequbit,
     steane_css_params,
@@ -103,13 +103,15 @@ def test_kernel_minimum_matches_whole_space_enumeration():
                 continue
             w = int(v.sum())
             best = w if best is None else min(best, w)
-        assert _kernel_minimum(d) == best
+        assert kernel_minimum(d) == best
 
 
 def test_kernel_minimum_budget():
+    # round 1 visits each of the 24 kernel generators of the zero operator
     d = BoundaryOperator(BitMatrix.zeros(24, 24))
-    with pytest.raises(BudgetError):
-        _kernel_minimum(d)
+    with pytest.raises(BudgetError, match="at least 24"):
+        kernel_minimum(d, budget=23)
+    assert kernel_minimum(d) == 1
 
 
 def test_montecarlo_params_validation():

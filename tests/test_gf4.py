@@ -739,7 +739,7 @@ def test_witnesses_do_not_depend_on_the_block_size(monkeypatch):
     default = witnesses()
     assert [w for w, _ in default] == [7, 7, 9, 9] + [5] * 9
     for cap in (8, 640):
-        monkeypatch.setattr("homprod.gf4._TABLE_BYTES", cap)
+        monkeypatch.setattr("homprod.search._TABLE_BYTES", cap)
         assert witnesses() == default, cap
 
 

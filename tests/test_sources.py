@@ -72,9 +72,22 @@ def _private_package_imports(tree: ast.AST) -> list[str]:
     ]
 
 
-def test_gf4_layer_imports_nothing_from_gf2():
-    # GF(4) keeps its own arithmetic on code arrays; it must not lean on the GF(2) kit.
-    assert not _imports_module(ast.parse((PACKAGE / "gf4.py").read_text()), "gf2")
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        # the shared kernels and the search serve both fields and depend on neither
+        ("linalg", "gf2"),
+        ("linalg", "gf4"),
+        ("linalg", "search"),
+        ("search", "gf2"),
+        ("search", "gf4"),
+        # each field's kit stands on the shared core, not on the other field
+        ("gf4", "gf2"),
+        ("gf2", "gf4"),
+    ],
+)
+def test_gf4_layer_imports_nothing_from_gf2(module, forbidden):
+    assert not _imports_module(ast.parse((PACKAGE / f"{module}.py").read_text()), forbidden)
 
 
 def test_import_scan_finds_every_form():
@@ -90,7 +103,7 @@ def test_import_scan_finds_every_form():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_private_names_of_another(path):
-    # helpers shared across modules (gf4's null_basis and residue) stay public
+    # helpers shared across modules (linalg's null_basis and residue) stay public
     assert _private_package_imports(ast.parse(path.read_text())) == []
 
 
