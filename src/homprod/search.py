@@ -51,29 +51,30 @@ _TABLE_BYTES = 1 << 20
 # enumeration: their packed generators are stacked along the word axis, so
 # one table list, one `_round` per round and one `_fold` per block serve
 # them all, and each set's weights, syndrome tests and candidates come from
-# its own rows.  A set that never joins costs nothing.  A round runs the
-# sets in join order, the active groups first and within a group a prefix
-# of its stacked rows, and only as many as the bound still needs.
+# its own rows.  Set j has rank at most u_{j-1}, the coordinates sets 1..j-1
+# leave unused, so it is eliminated only if the search reaches round
+# max(1, k - u_{j-1}).  A round runs the sets in join order, and only as
+# many as the bound still needs.
 
 
-def _information_sets(gens: np.ndarray, free: list[int]) -> list[tuple[np.ndarray, int]]:
-    """Generator matrices systematic on disjoint column sets, with their ranks.
+def _information_sets(gens: np.ndarray, free: list[int]):
+    """Yield (matrix, rank, unused) for each information set, one at a time.
 
     `gens` is the first set, the identity on the coordinates outside `free`,
     the pivot columns of the operator.  Each later matrix reduces the
     generators on the columns no earlier set used, so its first `rank` rows
-    form an identity on its own set and the other rows vanish there.  The
-    sets end once the generators vanish on every unused coordinate.
+    form an identity on its own set and the other rows vanish there;
+    `unused` counts the columns no set has used yet.  The sets end once the
+    generators vanish on all of them.
     """
-    sets = [(gens, len(gens))]
+    yield gens, len(gens), len(free)
     while gens[:, free].any():
         order = free + sorted(set(range(gens.shape[1])) - set(free))
         reduced, pivots = rref_codes(gens[:, order])
         rank = sum(p < len(free) for p in pivots)
-        sets.append((reduced[:, np.argsort(order)], rank))
         used = {order[p] for p in pivots[:rank]}
         free = [c for c in free if c not in used]
-    return sets
+        yield reduced[:, np.argsort(order)], rank, len(free)
 
 
 def _pack(codes: np.ndarray, planes: int, words: int) -> np.ndarray:
@@ -232,75 +233,78 @@ def min_cycle(
     default the length), so every lightest cycle has been seen; a round
     runs, in join order, only as many sets as the bound still needs.  Set j
     joins in round max(1, k - r_j), when its term turns positive, and then
-    catches up on the rounds before it; the sets that join in one round are
-    enumerated together, their rows stacked in one table.  Vectors visited
-    are counted per set that runs.  BudgetError is raised before a round
-    that would take that count past `budget`; the witness is checked before
-    it is returned.
+    catches up on the rounds before it, with the sets that join with it; it
+    is eliminated in round max(1, k - u_{j-1}), u_{j-1} being the coordinates
+    sets 1..j-1 leave unused.  Vectors visited are counted per set that runs.
+    BudgetError is raised before a round that would take that count past
+    `budget`; the witness is checked before it is returned.
     """
     n = a.shape[1]
     (own, pivots), (adjoint, adjoint_pivots) = reduced
     gens = null_basis(own, pivots)
-    dual = null_basis(adjoint, adjoint_pivots)
     image = adjoint_image(adjoint, adjoint_pivots)
-    syndromes = matmul_codes(gens, CONJ[dual].T)
-    syndromes = syndromes[:, rref_codes(syndromes)[1]]
+    if adjoint_pivots:
+        syndromes = matmul_codes(gens, CONJ[null_basis(adjoint, adjoint_pivots)].T)
+        syndromes = syndromes[:, rref_codes(syndromes)[1]]
+    else:  # a* = 0: every cycle is nontrivial, and gens is the identity on a's free columns
+        syndromes = np.delete(gens, pivots, axis=1)
     if syndromes.shape[1] == 0:
         raise NoLogicalsError("operator has no homology; distance is undefined")
     rows = np.hstack([gens, syndromes])
     # Bits per code: one plane for the 0/1 scalars of GF(2), two for GF(4).
     planes = max(scalars).bit_length()
     words = -(-rows.shape[1] // 64)
-    info = _information_sets(rows, pivots)
-    # multiples[j, i, c] is scalars[c] times generator i of set j, packed
-    systematic = np.array([g for g, _ in info])
-    multiples = _pack(MUL[np.array(scalars)[:, None], systematic[:, :, None, :]], planes, words)
     data, syndrome = _mask(0, n, words), _mask(n, rows.shape[1], words)
     extra, k = syndromes.shape[1], len(gens)
-    # groups[g] is (join round, sets, stacked generators, tables) for the
-    # sets that join in one round; tables[1] is the generators with
-    # coefficient 1, lowest generator descending, and tables[0] is unused
-    joins = [max(1, k - r) for _, r in info]
-    groups = []
-    for join in sorted(set(joins)):
-        members = [j for j, v in enumerate(joins) if v == join]
-        stacked = np.moveaxis(multiples[members], 0, 2).reshape(k, len(scalars), -1)
-        table = np.ascontiguousarray(stacked[::-1, 0].T), list(range(k, -1, -1))
-        groups.append((join, len(members), stacked, [None, table]))
-    done = [0] * len(groups)
+    sets, ranks, pull = _information_sets(rows, pivots), [], 1
+    # members[join] lists the sets that join in that round, and groups[join]
+    # is their stacked generators and tables from then on (tables[1] is the
+    # generators with coefficient 1, lowest generator descending)
+    members, groups, done = {}, {}, {}
     cut, best, visited = n if limit is None else limit, None, 0
     for t in range(1, k + 1):
-        bound = sum(max(0, t - k + r) for _, r in info)
+        # pull the sets due by round t unless the bound ends the search; the default stops pulls
+        while (bound := sum(max(0, t - k + r) for r in ranks)) <= cut and pull <= t:
+            matrix, rank, unused = next(sets, (None, 0, -k))
+            if matrix is not None:
+                ranks.append(rank)
+                members.setdefault(max(1, k - rank), []).append(matrix)
+            pull = max(1, k - unused)
         if bound > cut:
             break
-        # (group, sets it runs): every set that finishes round t raises the
+        # (join, sets it runs): every set that finishes round t raises the
         # bound by one, so only the first cut + 1 - bound sets in join order run
         todo, need = [], cut + 1 - bound
-        for g, (join, size, _, _) in enumerate(groups):
+        for join, group in members.items():
             if join <= t and need > 0:
-                todo.append((g, min(size, need)))
-                need -= size
+                todo.append((join, min(len(group), need)))
+                need -= len(group)
         visited += sum(
-            sets * math.comb(k, u) * len(scalars) ** (u - 1)
-            for g, sets in todo
-            for u in range(done[g] + 1, t + 1)
+            count * math.comb(k, u) * len(scalars) ** (u - 1)
+            for join, count in todo
+            for u in range(done.get(join, 0) + 1, t + 1)
         )
         if visited > budget:
             raise BudgetError(
                 f"search needs {visited} vectors through round {t}, which exceeds "
                 f"the budget of {budget}; raise the budget to at least {visited}"
             )
-        for g, sets in todo:
-            _, size, stacked, tables = groups[g]
-            if sets < size:
+        for join, count in todo:
+            if join not in groups:
+                codes = MUL[np.array(scalars)[:, None], np.array(members[join])[:, :, None, :]]
+                stacked = np.concatenate(_pack(codes, planes, words), axis=-1)
+                table = np.ascontiguousarray(stacked[::-1, 0].T), list(range(k, -1, -1))
+                groups[join] = stacked, [None, table]
+            stacked, tables = groups[join]
+            if count < len(members[join]):
                 # the round ends the search, so the group shrinks to its first sets' rows
-                prefix = sets * planes * words
+                prefix = count * planes * words
                 stacked = stacked[..., :prefix]
                 tables[1:] = [(vecs[:prefix], starts) for vecs, starts in tables[1:]]
-            for u in range(done[g] + 1, t + 1):
+            for u in range(done.get(join, 0) + 1, t + 1):
                 for block in _round(stacked, u, tables):
                     cut, best = _fold(block, planes, n, data, syndrome, extra, cut, best)
-            done[g] = t
+            done[join] = t
     if best is not None:
         check_witness(a, best, cut, image)
     return best

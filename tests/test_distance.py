@@ -116,6 +116,19 @@ def test_budget_counts_the_vectors_of_every_information_set():
     assert (res.d_z, res.d_x) == (9, 9)
 
 
+def test_budget_counts_only_the_information_sets_that_join():
+    # this random product has d = (1, 4); its x sector has k = 20 kernel
+    # generators and information sets of ranks 20, 10 and 4, which would
+    # join in rounds 1, 10 and 16.  Round 5 starts at bound 5 > d_x = 4, so
+    # only the first set runs: C(20,1) + ... + C(20,4) = 6,195 vectors
+    rng = np.random.default_rng([1, 5])
+    p = product(random_boundary(6, 2, rng), random_boundary(6, 2, rng)).partial
+    with pytest.raises(BudgetError, match=r"at least 6195$"):
+        distance(p, budget=6_194)
+    res = distance(p, budget=6_195)
+    assert (res.d_z, res.d_x) == (1, 4)
+
+
 def test_matches_oracle_on_small_products():
     rng = np.random.default_rng(1)
     for _ in range(10):
