@@ -136,7 +136,7 @@ class PauliTableau:
 
 def _columns(mat: BitMatrix) -> list[int]:
     """The columns of mat as ints, bit r holding row r."""
-    packed = np.packbits(mat.to_dense().T, axis=1, bitorder="little")
+    packed = np.packbits(mat.codes.T, axis=1, bitorder="little")
     return [int.from_bytes(col.tobytes(), "little") for col in packed]
 
 
@@ -146,7 +146,7 @@ def _matrix(columns: list[int], rows: int) -> BitMatrix:
     raw = b"".join(c.to_bytes(width, "little") for c in columns)
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(columns), width)
     bits = np.unpackbits(packed, axis=1, count=rows, bitorder="little")
-    return BitMatrix.from_dense(bits.T)
+    return BitMatrix(bits.T)
 
 
 def initial_tableau(circuit: EncodingCircuit) -> PauliTableau:

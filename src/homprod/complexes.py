@@ -101,9 +101,9 @@ class ReducedOperator:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Coset coordinates of a length-M vector: truncate, then reduce mod S^>."""
-        bits = vector_to_bits(v, self.m).copy()
+        bits = vector_to_bits(v, self.m)
         bits[self.m_prime :] = 0
-        return vector_from_bits(residue(self.s_gt_basis.matrix.to_dense(), bits)[self._free])
+        return vector_from_bits(residue(self.s_gt_basis.matrix.codes, bits)[self._free])
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """A length-M representative of the coset with reduced coordinates y."""
@@ -129,7 +129,7 @@ def _canonical_matrix(h: int, l: int) -> BitMatrix:
     m = h + 2 * l
     dense = np.zeros((m, m), dtype=np.uint8)
     dense[h : h + l, h + l :] = np.eye(l, dtype=np.uint8)
-    return BitMatrix.from_dense(dense)
+    return BitMatrix(dense)
 
 
 def random_boundary(m: int, h: int, rng: np.random.Generator) -> BoundaryOperator:
@@ -169,12 +169,12 @@ def canonical_witness(d: BoundaryOperator) -> BitMatrix:
     im = rref_row_space(*d.transposed_reduction)
     # homology_representatives(d), reusing this image basis
     hvecs = extend_basis(im, rref_kernel(*d.reduction))
-    images = im.matrix.to_dense().T
+    images = im.matrix.codes.T
     pre = preimages(d.matrix, images)
     if pre is None:
         raise InvariantError("an image vector has no preimage")
     homology = np.array([vector_to_bits(v, m) for v in hvecs], dtype=np.uint8).reshape(h, m)
-    u = BitMatrix.from_dense(np.hstack([homology.T, images, pre]))
+    u = BitMatrix(np.hstack([homology.T, images, pre]))
     if m and u.rank() != m:
         raise InvariantError("witness columns failed to form a basis")
     if len(hvecs) != h:
@@ -194,8 +194,7 @@ def is_good(d: BoundaryOperator, m_prime: int) -> bool:
     ker = rref_kernel(*d.reduction)
     if ker.dim == 0:
         return True
-    restricted = BitMatrix.from_dense(ker.matrix.to_dense()[:, :m_prime])
-    return restricted.rank() == ker.dim
+    return BitMatrix(ker.matrix.codes[:, :m_prime]).rank() == ker.dim
 
 
 def reduced_boundary(d: BoundaryOperator, m_prime: int) -> ReducedOperator:
@@ -212,16 +211,16 @@ def reduced_boundary(d: BoundaryOperator, m_prime: int) -> ReducedOperator:
     # W d: the operator with the rows of the dropped coordinates cleared
     truncated = d.matrix.to_dense()
     truncated[m_prime:] = 0
-    s_basis = row_space_basis(BitMatrix.from_dense(truncated[:, m_prime:].T))
+    s_basis = row_space_basis(BitMatrix(truncated[:, m_prime:].T))
     if s_basis.dim != m - m_prime:
         raise InvariantError("goodness must force dim S^> = M - m_prime")
-    s_rows = s_basis.matrix.to_dense()
+    s_rows = s_basis.matrix.codes
     pivots = {int(np.flatnonzero(row)[0]) for row in s_rows}
     free = [c for c in range(m_prime) if c not in pivots]
     k_dim = len(free)
     if k_dim != 2 * m_prime - m:
         raise InvariantError(f"reduced dimension {k_dim} is not 2 m_prime - M = {2 * m_prime - m}")
-    delta_prime = BitMatrix.from_dense(residue(s_rows, truncated[:, free].T)[:, free].T)
+    delta_prime = BitMatrix(residue(s_rows, truncated[:, free].T)[:, free].T)
     out = ReducedOperator(delta_prime, s_basis, m, m_prime, free)
     reduced_op = BoundaryOperator(delta_prime)
     if reduced_op.hom_dim != d.hom_dim:

@@ -212,8 +212,7 @@ def kernel_census(d1: BoundaryOperator, d2: BoundaryOperator) -> dict[int, int]:
     if n1 * n2 == 0:
         return {0: 1}
     table = np.zeros((1, n1 * n2), dtype=np.uint8)
-    for v in ker.vectors:
-        bits = vector_to_bits(v, n1 * n2)
+    for bits in ker.matrix.codes:
         table = np.concatenate([table, table ^ bits], axis=0)
     powers = 1 << np.arange(n2, dtype=np.int64)
     row_ints = table.reshape(-1, n1, n2).astype(np.int64) @ powers
@@ -241,8 +240,8 @@ def gamma_census(d1: BoundaryOperator, d2: BoundaryOperator, m_prime: int) -> di
         return np.array([vector_to_bits(c, r.k_dim) for c in cols], dtype=np.uint8).T
 
     q1, q2 = projection(r1), projection(r2)
-    dp1 = r1.delta_prime.to_dense()
-    dp2 = r2.delta_prime.to_dense()
+    dp1 = r1.delta_prime.codes
+    dp2 = r2.delta_prime.codes
     census: dict[int, int] = {}
     for rows in _iter_matrices(m_prime, m_prime):
         g = np.array(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .complexes import BoundaryOperator
 from .errors import DimensionError, PreconditionError
-from .gf2 import Basis, BitMatrix, dot_parity, row_space_basis
+from .gf2 import Basis, BitMatrix, row_space_basis
 
 
 @dataclass
@@ -69,20 +69,14 @@ def boundary_from_checks(basis: Basis, u: BitMatrix) -> BoundaryOperator:
     equal the spanned space for every invertible u.
     """
     m = basis.dim
-    n = basis.ambient_dim
     if u.rows != m or u.cols != m:
         raise DimensionError(f"change of basis must be {m}x{m}")
-    vecs = basis.vectors
-    for i in range(m):
-        for j in range(i, m):
-            if dot_parity(vecs[i], vecs[j]):
-                raise PreconditionError("check basis is not self-orthogonal")
+    a = basis.matrix.transpose()  # n x m, columns are the basis vectors
+    if not (basis.matrix @ a).is_zero():
+        raise PreconditionError("check basis is not self-orthogonal")
     if u.rank() != m:
         raise PreconditionError("change of basis matrix is singular")
-    if m == 0:
-        return BoundaryOperator(BitMatrix.zeros(n, n))
-    a = basis.matrix.transpose()  # n x m, columns are the basis vectors
-    return BoundaryOperator(a @ u @ a.transpose())
+    return BoundaryOperator(a @ u @ basis.matrix)
 
 
 def independent_checks(c: CssCode) -> CssCode:

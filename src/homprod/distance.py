@@ -38,7 +38,7 @@ class DistanceResult:
 def _reductions(d: BoundaryOperator) -> tuple[Reduction, Reduction]:
     """The stored reduced forms and pivots of d and of d^T, as 0/1 codes."""
     pairs = d.reduction, d.transposed_reduction
-    return tuple((reduced.to_dense(), pivots) for reduced, pivots in pairs)
+    return tuple((reduced.codes, pivots) for reduced, pivots in pairs)
 
 
 def _min_cycle(a: np.ndarray, reduced, budget: int, limit: int | None = None) -> np.ndarray | None:
@@ -57,10 +57,10 @@ def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResul
     search gets the two reduced forms swapped.
     """
     t0 = time.perf_counter()
-    dense = d.matrix.to_dense()
+    codes = d.matrix.codes
     own, transposed = _reductions(d)
-    wit_z = _min_cycle(dense, (own, transposed), budget)
-    wit_x = _min_cycle(dense.T, (transposed, own), budget)
+    wit_z = _min_cycle(codes, (own, transposed), budget)
+    wit_x = _min_cycle(codes.T, (transposed, own), budget)
     return DistanceResult(
         d_z=vector_weight(wit_z),
         d_x=vector_weight(wit_x),
@@ -90,7 +90,7 @@ def distance_upper_bound(
     A None return is a proof that d_z exceeds `bound`: the search stops only
     once every cycle that light has been seen.
     """
-    return _min_cycle(d.matrix.to_dense(), _reductions(d), budget, bound)
+    return _min_cycle(d.matrix.codes, _reductions(d), budget, bound)
 
 
 def kernel_minimum(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> int:
@@ -100,7 +100,7 @@ def kernel_minimum(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> int:
     """
     reduced, pivots = d.reduction
     empty = (np.zeros((0, d.m), np.uint8), [])
-    found = min_cycle(d.matrix.to_dense(), ((reduced.to_dense(), pivots), empty), (1,), budget)
+    found = min_cycle(d.matrix.codes, ((reduced.codes, pivots), empty), (1,), budget)
     return int(np.count_nonzero(found))
 
 
@@ -113,6 +113,6 @@ def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
     if witness.shape != zero_vector(d.m).shape:
         raise DimensionError(f"witness has {witness.size} words, operator has m={d.m}")
     weight = vector_weight(witness)
-    image = rref_row_space(*d.transposed_reduction).matrix.to_dense()
-    check_witness(d.matrix.to_dense(), vector_to_bits(witness, d.m), weight, image)
+    image = rref_row_space(*d.transposed_reduction).matrix.codes
+    check_witness(d.matrix.codes, vector_to_bits(witness, d.m), weight, image)
     return weight

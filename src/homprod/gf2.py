@@ -1,15 +1,13 @@
-"""Dense bit-packed linear algebra over GF(2).
+"""Linear algebra over GF(2).
 
-Matrices are stored row-major with 64 coordinates per machine word, so row
-addition is a word-wise XOR and weight queries are word-wise popcounts.
-Elimination runs on one integer per matrix: `BitMatrix.rref` reads its
-words, row after row, as one little-endian int and reduces it with
-`linalg.eliminate`, the kernel both fields share, on a single bit plane.  A
-reduced form is unique for its row space, so every derived basis is
-deterministic; kernel and image bases are returned in reduced echelon form
-so span equality can be tested by direct comparison.  Null bases, span
-tests and products are linalg's `null_basis`, `residue` and `matmul_codes`
-on 0/1 codes.
+A `BitMatrix` is one uint8 array of 0/1 codes, as a `Gf4Matrix` is one of
+GF(4) codes, so its products, elimination, null bases and span tests are
+linalg's `matmul_codes`, `rref_codes`, `null_basis` and `residue`, the
+kernels both fields share.  A reduced form is unique for its row space, so
+every derived basis is deterministic; kernel and image bases are returned
+in reduced echelon form so span equality can be tested by direct
+comparison.  Vectors are packed, 64 coordinates per uint64 word, and
+`BitMatrix.data` packs a matrix's rows into such vectors.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import eliminate, matmul_codes, null_basis, residue
+from .linalg import matmul_codes, null_basis, residue, rref_codes
 
 WORD_BITS = 64
 
@@ -50,128 +48,110 @@ def unpack_rows(data: np.ndarray, cols: int) -> np.ndarray:
 
 
 class BitMatrix:
-    """A rows x cols matrix over GF(2), bit-packed along each row.
+    """A rows x cols matrix over GF(2), stored as one uint8 array of 0/1 codes.
 
-    The invariant maintained everywhere: `data` has shape
-    (rows, ceil(cols / 64)) and all pad bits beyond `cols` are zero.
+    `data` packs the rows into GF(2) vectors, 64 coordinates per uint64
+    word, on each read.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("codes",)
 
-    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None):
-        if rows < 0 or cols < 0:
-            raise ParameterError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
-        words = _word_count(cols)
-        if data is None:
-            self.data = np.zeros((rows, words), dtype=np.uint64)
-        else:
-            if data.shape != (rows, words):
-                raise DimensionError(
-                    f"packed data shape {data.shape} does not match ({rows}, {words})"
-                )
-            self.data = data
+    def __init__(self, codes: np.ndarray):
+        if codes.ndim != 2:
+            raise DimensionError(f"expected a two dimensional array, got shape {codes.shape}")
+        if codes.size and codes.max() > 1:
+            raise ParameterError("GF(2) codes must be 0 or 1")
+        self.codes = codes
+
+    @property
+    def rows(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.codes.shape[1]
+
+    @property
+    def data(self) -> np.ndarray:
+        """The rows as packed vectors, shape (rows, ceil(cols / 64)), a new array."""
+        return pack_rows(self.codes)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
+        if rows < 0 or cols < 0:
+            raise ParameterError("matrix dimensions must be non-negative")
+        return cls(np.zeros((rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.set(i, i, 1)
-        return m
+        return cls(np.eye(n, dtype=np.uint8))
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
-        dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
-        rows, cols = dense.shape
-        return cls(rows, cols, pack_rows(dense))
+        return cls(np.atleast_2d(np.asarray(dense, dtype=np.uint8)) & 1)
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
         """Uniformly random matrix, deterministic for a given generator state."""
-        dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-        return cls.from_dense(dense)
+        return cls(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
 
-    # -- element and row access -------------------------------------------
+    # -- element access and weights ---------------------------------------
 
     def get(self, i: int, j: int) -> int:
-        return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
+        return int(self.codes[i, j])
 
     def set(self, i: int, j: int, value: int) -> None:
-        mask = np.uint64(1) << np.uint64(j & 63)
-        if value & 1:
-            self.data[i, j >> 6] |= mask
-        else:
-            self.data[i, j >> 6] &= ~mask
-
-    def row(self, i: int) -> np.ndarray:
-        """Packed words of row i (a view, not a copy)."""
-        return self.data[i]
+        self.codes[i, j] = value & 1
 
     def row_weight(self, i: int) -> int:
-        return int(np.bitwise_count(self.data[i]).sum())
+        return int(np.count_nonzero(self.codes[i]))
+
+    def max_row_weight(self) -> int:
+        return int(np.count_nonzero(self.codes, axis=1).max(initial=0))
+
+    def max_column_weight(self) -> int:
+        return int(np.count_nonzero(self.codes, axis=0).max(initial=0))
 
     def to_dense(self) -> np.ndarray:
-        return unpack_rows(self.data, self.cols)
+        return self.codes.copy()
 
     # -- basic algebra ------------------------------------------------------
 
     def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.data.copy())
+        return BitMatrix(self.codes.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.data, other.data))
-        )
+        return bool(np.array_equal(self.codes, other.codes))
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data.tobytes()))
+        return hash((self.codes.shape, self.codes.tobytes()))
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
-        self._check_same_shape(other)
-        return BitMatrix(self.rows, self.cols, self.data ^ other.data)
+        if self.codes.shape != other.codes.shape:
+            raise DimensionError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        return BitMatrix(self.codes ^ other.codes)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return BitMatrix.from_dense(matmul_codes(self.to_dense(), other.to_dense()))
+        return BitMatrix(matmul_codes(self.codes, other.codes))
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
+        return BitMatrix(self.codes.T.copy())
 
     def kron(self, other: "BitMatrix") -> "BitMatrix":
-        return BitMatrix.from_dense(np.kron(self.to_dense(), other.to_dense()))
+        return BitMatrix(np.kron(self.codes, other.codes))
 
     def is_zero(self) -> bool:
-        return not self.data.any()
-
-    def max_row_weight(self) -> int:
-        if self.rows == 0:
-            return 0
-        return int(np.bitwise_count(self.data).sum(axis=1).max())
-
-    def max_column_weight(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return int(self.to_dense().sum(axis=0, dtype=np.int64).max())
-
-    def _check_same_shape(self, other: "BitMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+        return not self.codes.any()
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -179,17 +159,13 @@ class BitMatrix:
     # -- elimination --------------------------------------------------------
 
     def rref(self) -> tuple["BitMatrix", list[int]]:
-        """Reduced row echelon form and its pivot columns.
+        """Reduced row echelon form and its pivot columns, by `linalg.rref_codes`.
 
-        The matrix is reduced as one integer by `linalg.eliminate`, which
-        clears each pivot column in every row at once; the result is the
-        unique reduced form of the row space and shares no storage with
-        this matrix.
+        The result is the unique reduced form of the row space and shares
+        no storage with this matrix.
         """
-        words = self.data.shape[1]
-        raw, pivots = eliminate(self.data.astype("<u8").tobytes(), self.rows, WORD_BITS * words)
-        data = np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(self.rows, words)
-        return BitMatrix(self.rows, self.cols, data), pivots
+        reduced, pivots = rref_codes(self.codes)
+        return BitMatrix(reduced), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -198,7 +174,7 @@ class BitMatrix:
 # -- vectors ----------------------------------------------------------------
 #
 # A vector of length n is a 1-d uint64 array of ceil(n / 64) words with zero
-# pad bits, matching one row of a BitMatrix over the same ambient dimension.
+# pad bits, one row of the `data` of a BitMatrix with n columns.
 
 
 def zero_vector(n: int) -> np.ndarray:
@@ -253,7 +229,7 @@ class Basis:
 
     @property
     def vectors(self) -> list[np.ndarray]:
-        return [self.matrix.data[i] for i in range(self.matrix.rows)]
+        return list(self.matrix.data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Basis):
@@ -264,12 +240,12 @@ class Basis:
 def rref_row_space(reduced: BitMatrix, pivots: list[int]) -> Basis:
     """Row space basis of a matrix, given its `rref()`: the leading rows."""
     r = len(pivots)
-    return Basis(BitMatrix(r, reduced.cols, reduced.data[:r].copy()))
+    return Basis(BitMatrix(reduced.codes[:r].copy()))
 
 
 def rref_kernel(reduced: BitMatrix, pivots: list[int]) -> Basis:
     """Canonical basis of the right null space of a matrix, given its `rref()`."""
-    return row_space_basis(BitMatrix.from_dense(null_basis(reduced.to_dense(), pivots)))
+    return row_space_basis(BitMatrix(null_basis(reduced.codes, pivots)))
 
 
 def row_space_basis(mat: BitMatrix) -> Basis:
@@ -295,7 +271,7 @@ def in_span(v: np.ndarray, basis: Basis) -> bool:
     """Membership test against a reduced echelon basis, such as every Basis here."""
     if v.shape != (_word_count(basis.ambient_dim),):
         raise DimensionError("vector length does not match basis ambient dimension")
-    return not residue(basis.matrix.to_dense(), vector_to_bits(v, basis.ambient_dim)).any()
+    return not residue(basis.matrix.codes, vector_to_bits(v, basis.ambient_dim)).any()
 
 
 def extend_basis(base: Basis, candidates: Basis) -> list[np.ndarray]:
@@ -309,9 +285,9 @@ def extend_basis(base: Basis, candidates: Basis) -> list[np.ndarray]:
     """
     if base.ambient_dim != candidates.ambient_dim:
         raise DimensionError("ambient dimensions differ")
-    stacked = np.concatenate([base.matrix.to_dense(), candidates.matrix.to_dense()])
-    pivots = BitMatrix.from_dense(stacked.T).rref()[1]
-    return [candidates.matrix.data[p - base.dim] for p in pivots if p >= base.dim]
+    pivots = rref_codes(np.concatenate([base.matrix.codes, candidates.matrix.codes]).T)[1]
+    vectors = candidates.matrix.data
+    return [vectors[p - base.dim] for p in pivots if p >= base.dim]
 
 
 def preimages(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
@@ -321,11 +297,11 @@ def preimages(mat: BitMatrix, rhs: np.ndarray) -> np.ndarray | None:
     array and X is (cols, s).  One elimination of [mat | rhs] serves them
     all; None means some column of `rhs` is outside the image.
     """
-    reduced, pivots = BitMatrix.from_dense(np.hstack([mat.to_dense(), rhs])).rref()
+    reduced, pivots = rref_codes(np.hstack([mat.codes, rhs]))
     if pivots and pivots[-1] >= mat.cols:
         return None
     x = np.zeros((mat.cols, rhs.shape[1]), dtype=np.uint8)
-    x[pivots] = reduced.to_dense()[: len(pivots), mat.cols :]
+    x[pivots] = reduced[: len(pivots), mat.cols :]
     return x
 
 
@@ -347,7 +323,7 @@ def inverse(mat: BitMatrix) -> BitMatrix:
     x = preimages(mat, np.eye(mat.rows, dtype=np.uint8))
     if x is None:
         raise ParameterError("matrix is singular")
-    return BitMatrix.from_dense(x)
+    return BitMatrix(x)
 
 
 def random_invertible(m: int, rng: np.random.Generator) -> BitMatrix:

@@ -115,11 +115,11 @@ def _parse_block(cur: _Cursor, field: tuple[str, str]) -> np.ndarray:
 
 
 def serialize_matrix(m: BitMatrix) -> str:
-    return _serialize_block(_GF2, m.to_dense())
+    return _serialize_block(_GF2, m.codes)
 
 
 def _matrix_block(cur: _Cursor) -> BitMatrix:
-    return BitMatrix.from_dense(_parse_block(cur, _GF2))
+    return BitMatrix(_parse_block(cur, _GF2))
 
 
 def parse_matrix(text: str) -> BitMatrix:

@@ -36,16 +36,15 @@ def matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # -- elimination --------------------------------------------------------------
 #
-# One kernel, `eliminate`, reduces matrices over both fields; `rref_codes`
-# and the GF(2) kit's `BitMatrix.rref` are conversions around it.  Each row
-# is a run of bit planes of a fixed width (whole bytes for codes, whole
-# 64-bit words for a BitMatrix): plane p holds bit p of every code, column
-# j at bit p * width + j, so a + b w keeps its 1-coefficient a in plane 0
-# and its w-coefficient b in plane 1.  0/1 matrices, GF(2) ones among them,
-# need plane 0 only and have the same reduced form over either field; a
-# BitMatrix row read as a little-endian int is such a row.  Multiplying by
-# w maps the planes (a, b) to (b, a ^ b), since w (a + b w) = b + (a + b) w,
-# and by W = w^2 maps them to (a ^ b, a).
+# One kernel, `eliminate`, reduces matrices over both fields, and
+# `rref_codes`, its one caller, converts code arrays to and from it.  Each
+# row is a run of bit planes of a fixed width, a whole number of bytes:
+# plane p holds bit p of every code, column j at bit p * width + j, so
+# a + b w keeps its 1-coefficient a in plane 0 and its w-coefficient b in
+# plane 1.  0/1 matrices, GF(2) ones among them, need plane 0 only and have
+# the same reduced form over either field.  Multiplying by w maps the
+# planes (a, b) to (b, a ^ b), since w (a + b w) = b + (a + b) w, and by
+# W = w^2 maps them to (a ^ b, a).
 #
 # The whole matrix is one Python int, row i at bit i * span, so a column is
 # cleared in every row by a fixed number of integer operations.  With

@@ -61,21 +61,10 @@ def kunneth_report(p: ProductComplex, cap: int = 400) -> dict:
         "dim_span": None,
     }
     if p.n <= cap:
-        k1 = rref_kernel(*p.factor1.reduction)
-        k2 = rref_kernel(*p.factor2.reduction)
-        rows = []
-        for u in k1.vectors:
-            ub = vector_to_bits(u, p.factor1.m)
-            for v in k2.vectors:
-                vb = vector_to_bits(v, p.factor2.m)
-                rows.append(np.kron(ub, vb))
-        im = rref_row_space(*p.partial.transposed_reduction)
-        rows.extend(vector_to_bits(v, p.n) for v in im.vectors)
-        if rows:
-            span = BitMatrix.from_dense(np.array(rows, dtype=np.uint8))
-            dim_span = span.rank()
-        else:
-            dim_span = 0
+        k1 = rref_kernel(*p.factor1.reduction).matrix
+        k2 = rref_kernel(*p.factor2.reduction).matrix
+        im = rref_row_space(*p.partial.transposed_reduction).matrix
+        dim_span = BitMatrix(np.concatenate([k1.kron(k2).codes, im.codes])).rank()
         report["span_checked"] = True
         report["dim_span"] = dim_span
         report["span_match"] = dim_span == report["dim_kernel"]
@@ -91,20 +80,14 @@ def logical_basis(p: ProductComplex) -> Basis:
     """
     if p.factor1.hom_dim == 0 or p.factor2.hom_dim == 0:
         raise NoLogicalsError("a factor has no homology, so the product encodes nothing")
-    reps1 = homology_representatives(p.factor1)
-    reps2 = homology_representatives(p.factor2)
-    rows = []
-    for u in reps1:
-        ub = vector_to_bits(u, p.factor1.m)
-        for v in reps2:
-            rows.append(np.kron(ub, vector_to_bits(v, p.factor2.m)))
-    reps = BitMatrix.from_dense(np.array(rows, dtype=np.uint8))
-    im = rref_row_space(*p.partial.transposed_reduction)
-    stacked = BitMatrix.from_dense(
-        np.concatenate([im.matrix.to_dense(), reps.to_dense()], axis=0)
+    reps1, reps2 = (
+        np.array([vector_to_bits(v, f.m) for v in homology_representatives(f)])
+        for f in (p.factor1, p.factor2)
     )
-    expected = im.dim + len(rows)
-    if stacked.rank() != expected:
+    reps = BitMatrix(np.kron(reps1, reps2))
+    im = rref_row_space(*p.partial.transposed_reduction)
+    stacked = BitMatrix(np.concatenate([im.matrix.codes, reps.codes]))
+    if stacked.rank() != im.dim + reps.rows:
         raise InvariantError("logical representatives are dependent modulo the image")
     return Basis(reps)
 

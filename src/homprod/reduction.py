@@ -15,7 +15,7 @@ import numpy as np
 
 from .css import CssCode, stabilizer_weight_of
 from .errors import InvariantError, ParameterError, PreconditionError
-from .gf2 import BitMatrix, vector_to_bits
+from .gf2 import BitMatrix
 
 
 @dataclass
@@ -29,7 +29,7 @@ class SplitTrace:
 
 
 def _row_support(mat: BitMatrix, i: int) -> np.ndarray:
-    return np.flatnonzero(vector_to_bits(mat.row(i), mat.cols))
+    return np.flatnonzero(mat.codes[i])
 
 
 def max_check_weight(c: CssCode) -> int:
@@ -51,8 +51,8 @@ def _split(c: CssCode, stab: int, t1, primary: str) -> CssCode:
         raise PreconditionError("t1 must be a nonempty proper subset of the support")
 
     n = c.n
-    split_dense = split_mat.to_dense()
-    other_dense = other_mat.to_dense()
+    split_dense = split_mat.codes
+    other_dense = other_mat.codes
 
     r1 = np.zeros(n + 1, dtype=np.uint8)
     r1[sorted(chosen)] = 1
@@ -73,8 +73,8 @@ def _split(c: CssCode, stab: int, t1, primary: str) -> CssCode:
     parity = (other_dense @ t1_indicator) & 1
     other_new = np.concatenate([other_dense, parity[:, None]], axis=1)
 
-    split_bm = BitMatrix.from_dense(split_new)
-    other_bm = BitMatrix.from_dense(other_new)
+    split_bm = BitMatrix(split_new)
+    other_bm = BitMatrix(other_new)
     a_z, a_x = (split_bm, other_bm) if primary == "Z" else (other_bm, split_bm)
     k_new = (n + 1) - a_z.rank() - a_x.rank()
     if k_new != c.k:

@@ -54,7 +54,9 @@ _TABLE_BYTES = 1 << 20
 # its own rows.  Set j has rank at most u_{j-1}, the coordinates sets 1..j-1
 # leave unused, so it is eliminated only if the search reaches round
 # max(1, k - u_{j-1}).  A round runs the sets in join order, and only as
-# many as the bound still needs.
+# many as the bound still needs.  Ranks never increase from set to set, so
+# the sets before set j join no later than it, and it is not eliminated in
+# a round that they end by finishing it.
 
 
 def _information_sets(gens: np.ndarray, free: list[int]):
@@ -235,7 +237,8 @@ def min_cycle(
     joins in round max(1, k - r_j), when its term turns positive, and then
     catches up on the rounds before it, with the sets that join with it; it
     is eliminated in round max(1, k - u_{j-1}), u_{j-1} being the coordinates
-    sets 1..j-1 leave unused.  Vectors visited are counted per set that runs.
+    sets 1..j-1 leave unused, unless the sets that join by then already
+    fill the round's need.  Vectors visited are counted per set that runs.
     BudgetError is raised before a round that would take that count past
     `budget`; the witness is checked before it is returned.
     """
@@ -263,14 +266,16 @@ def min_cycle(
     members, groups, done = {}, {}, {}
     cut, best, visited = n if limit is None else limit, None, 0
     for t in range(1, k + 1):
-        # pull the sets due by round t unless the bound ends the search; the default stops pulls
-        while (bound := sum(max(0, t - k + r) for r in ranks)) <= cut and pull <= t:
+        # pull the sets due by round t until the pulled ones end the search by
+        # finishing it (each that joins by then adds one to the bound); the
+        # default stops pulls
+        while pull <= t and sum(max(0, t + 1 - k + r) for r in ranks) <= cut:
             matrix, rank, unused = next(sets, (None, 0, -k))
             if matrix is not None:
                 ranks.append(rank)
                 members.setdefault(max(1, k - rank), []).append(matrix)
             pull = max(1, k - unused)
-        if bound > cut:
+        if (bound := sum(max(0, t - k + r) for r in ranks)) > cut:
             break
         # (join, sets it runs): every set that finishes round t raises the
         # bound by one, so only the first cut + 1 - bound sets in join order run

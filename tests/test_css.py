@@ -63,8 +63,8 @@ def test_boundary_from_checks_rejects_bad_inputs():
 
 
 def test_boundary_from_checks_empty_basis():
-    empty = Basis(BitMatrix(0, 4))
-    d = boundary_from_checks(empty, BitMatrix(0, 0))
+    empty = Basis(BitMatrix.zeros(0, 4))
+    d = boundary_from_checks(empty, BitMatrix.zeros(0, 0))
     assert d.m == 4 and d.hom_dim == 4
 
 

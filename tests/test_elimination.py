@@ -1,12 +1,12 @@
 """The shared elimination kernel against textbook elimination on Python lists.
 
 `BitMatrix.rref` (GF(2)) and the GF(4) row space, rank and kernel all run
-through one integer-row kernel; the GF(2) span tests, basis extension and
-preimages use gf4's reduced-form helpers on top of it.  The oracle here
-reduces lists of field elements column by column with explicit tables:
-arithmetic mod 2 for GF(2) and the hand-written GF(4) tables of
-`test_gf4`.  Column counts straddle the 64-bit word boundaries of the
-packed layout.
+through linalg's `rref_codes` and its one integer-row kernel; the GF(2)
+span tests, basis extension and preimages use linalg's reduced-form helpers
+on top of it.  The oracle here reduces lists of field elements column by
+column with explicit tables: arithmetic mod 2 for GF(2) and the
+hand-written GF(4) tables of `test_gf4`.  Column counts straddle the 64-bit
+word boundaries of the packed vectors that `BitMatrix.data` returns.
 """
 
 import numpy as np

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homprod import BitMatrix, DimensionError
+from homprod.complexes import BoundaryOperator
 from homprod.gf2 import (
     dot_parity,
     extend_basis,
@@ -34,6 +35,24 @@ def test_pack_round_trip():
         m = BitMatrix.from_dense(d)
         assert m.data.shape == (rows, max(1, (cols + 63) // 64))
         assert np.array_equal(m.to_dense(), d)
+
+
+def test_arrays_passed_in_or_handed_out_share_no_storage():
+    # the canonical operator with blocks (0, 2, 2): rows 0 and 1 map onto columns 2 and 3
+    dense = np.zeros((4, 4), dtype=np.uint8)
+    dense[[0, 1], [2, 3]] = 1
+    m = BitMatrix.from_dense(dense)
+    d = BoundaryOperator(m)
+    reduced, pivots = d.reduction
+    kept = (m.copy(), reduced.copy(), list(pivots), d.rank)
+    dense[:] = 1
+    m.to_dense()[:] = 1
+    m.data[:] = np.uint64(1)
+    d.matrix.to_dense()[:] = 1
+    reduced.to_dense()[:] = 1
+    assert m == kept[0] and d.matrix == kept[0]
+    assert d.reduction[0] == kept[1] and d.reduction[1] == kept[2] and d.rank == kept[3]
+    assert d.hom_dim == 0
 
 
 def test_get_set_and_weights():
