@@ -50,8 +50,9 @@ def unpack_rows(data: np.ndarray, cols: int) -> np.ndarray:
 class BitMatrix:
     """A rows x cols matrix over GF(2), stored as one uint8 array of 0/1 codes.
 
-    `data` packs the rows into GF(2) vectors, 64 coordinates per uint64
-    word, on each read.
+    The constructor keeps the array it is given, while `from_dense` and
+    `to_dense` copy.  `data` packs the rows into GF(2) vectors, 64
+    coordinates per uint64 word, on each read.
     """
 
     __slots__ = ("codes",)
@@ -59,8 +60,8 @@ class BitMatrix:
     def __init__(self, codes: np.ndarray):
         if codes.ndim != 2:
             raise DimensionError(f"expected a two dimensional array, got shape {codes.shape}")
-        if codes.size and codes.max() > 1:
-            raise ParameterError("GF(2) codes must be 0 or 1")
+        if codes.dtype != np.uint8 or codes.size and codes.max() > 1:
+            raise ParameterError("GF(2) codes must be a uint8 array of 0s and 1s")
         self.codes = codes
 
     @property
