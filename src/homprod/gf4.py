@@ -105,8 +105,8 @@ class Gf4Matrix:
     def __init__(self, codes: np.ndarray):
         if codes.ndim != 2:
             raise DimensionError(f"expected a two dimensional array, got shape {codes.shape}")
-        if codes.size and codes.max() > 3:
-            raise ParameterError("GF(4) codes must be in 0..3")
+        if codes.dtype != np.uint8 or codes.size and codes.max() > 3:
+            raise ParameterError("GF(4) codes must be a uint8 array of codes 0..3")
         self.codes = codes
 
     @property

@@ -49,9 +49,11 @@ def matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # The whole matrix is one Python int, row i at bit i * span, so a column is
 # cleared in every row by a fixed number of integer operations.  With
 # `unit` the int that has bit 0 of every row set, rest >> c & unit marks
-# the rows with an entry in column c of a plane, and (m << span) - m
-# spreads each mark over its whole row; ANDing that with the pivot row
-# repeated once per row picks the rows to XOR it into.  An entry a + b w
+# the rows with an entry in column c of a plane; m * full (`full` is one
+# row of ones) spreads each mark over its row, and ANDing that with
+# one * unit, the pivot row `one` once per row, picks the rows to XOR it
+# into.  Each product adds copies of a one-row int at whole-row shifts,
+# which share no bits and so never carry into the next row.  An entry a + b w
 # takes a times the pivot row and b times w times it, one mark per plane.
 # Each pivot, the leftmost column with an entry in an unused row, comes
 # from the last such row and is scaled to 1; clearing its column empties
@@ -76,7 +78,7 @@ def eliminate(raw: bytes, rows: int, width: int) -> tuple[bytes, list[int]]:
     span = 8 * step
     two = span > width
     unit = int.from_bytes(b"\1".ljust(step, b"\0") * rows, "little")
-    mask = (1 << width) - 1
+    full, mask = (1 << span) - 1, (1 << width) - 1
     rest, count = int.from_bytes(raw, "little"), rows
     done, pivots = 0, []
     for c in range(width):
@@ -88,44 +90,42 @@ def eliminate(raw: bytes, rows: int, width: int) -> tuple[bytes, list[int]]:
         if not ha | hb:
             continue
         at = (ha | hb).bit_length() - 1
-        row = rest >> at & (1 << span) - 1
-        a, b = row & mask, row >> width
-        if b >> c & 1:
-            # scale an entry W by w, an entry w by W
-            a, b = (b, a ^ b) if a >> c & 1 else (a ^ b, a)
-        one = a | b << width
-        k = len(pivots)
-        copies = max(count, k)
-        x = int.from_bytes(one.to_bytes(step, "little") * copies, "little")
-        rest ^= ((ha << span) - ha) & x
-        ha = done >> c & unit
-        done ^= ((ha << span) - ha) & x
+        one = rest >> at & full
+        if two:
+            a, b = one & mask, one >> width
+            if b >> c & 1:
+                # scale an entry W by w, an entry w by W
+                a, b = (b, a ^ b) if a >> c & 1 else (a ^ b, a)
+            one = a | b << width
+        x = one * unit
+        rest ^= ha * full & x
+        done ^= (done >> c & unit) * full & x
         if two:
             # the pivot row times w, which has entry w in column c
-            x = int.from_bytes((b | (a ^ b) << width).to_bytes(step, "little") * copies, "little")
-            rest ^= ((hb << span) - hb) & x
-            hb = done >> c + width & unit
-            done ^= ((hb << span) - hb) & x
+            x = (b | (a ^ b) << width) * unit
+            rest ^= hb * full & x
+            done ^= (done >> c + width & unit) * full & x
         # the pivot row is zero now, and the top unused row takes its place
         count -= 1
         top = rest >> count * span
         rest ^= top << at ^ top << count * span
-        done |= one << k * span
+        done |= one << len(pivots) * span
         pivots.append(c)
     return done.to_bytes(len(raw), "little"), pivots
 
 
 def rref_codes(a: np.ndarray) -> Reduction:
-    """Reduced row echelon form of a code array, and its pivot columns."""
+    """Reduced row echelon form of a code array, and its pivot columns.  0/1
+    codes, the same over both fields, are packed as they are, on one plane."""
     a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
     rows, cols = a.shape
-    # 0/1 codes have the same reduced form over GF(2) and GF(4), on one plane
-    shifts = np.arange(1 if a.max(initial=0) <= 1 else 2, dtype=np.uint8)[:, None]
-    packed = np.packbits(a[:, None, :] >> shifts & 1, axis=-1, bitorder="little")
+    two = a.max(initial=0) > 1
+    planes = a[:, None, :] >> np.arange(2, dtype=np.uint8)[:, None] & 1 if two else a[:, None, :]
+    packed = np.packbits(planes, axis=-1, bitorder="little")
     raw, pivots = eliminate(packed.tobytes(), rows, 8 * packed.shape[-1])
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(packed.shape)
     bits = np.unpackbits(bits, axis=-1, count=cols, bitorder="little")
-    return np.bitwise_or.reduce(bits << shifts, axis=1), pivots
+    return bits[:, 0] | bits[:, 1] << 1 if two else bits[:, 0], pivots
 
 
 def adjoint_image(adjoint: np.ndarray, pivots: list[int]) -> np.ndarray:
