@@ -27,6 +27,7 @@ from homprod.gf2 import (
     vector_to_bits,
 )
 from homprod.gf4 import Gf4Matrix, gf4_kernel, gf4_rank, gf4_row_space
+from homprod.linalg import rref_codes
 from test_gf4 import ADD, MUL
 
 GF2 = ([[0, 1], [1, 0]], [[0, 0], [0, 1]])
@@ -125,6 +126,37 @@ def test_gf4_row_space_rank_and_kernel_match_naive_elimination(drawn):
     assert kernel.dtype == np.uint8 and kernel.shape == (cols - len(pivots), cols)
     assert kernel.tolist() == naive_null_basis(expected, pivots, cols)
     assert np.array_equal(m.codes, codes)
+
+
+def check_rref_codes(codes: np.ndarray, symbols: int) -> None:
+    """rref_codes hands back a fresh writable uint8 array, leaves its input be,
+    and matches the oracle."""
+    before = codes.copy()
+    reduced, pivots = rref_codes(codes)
+    assert reduced.dtype == np.uint8 and reduced.shape == codes.shape
+    assert reduced.flags.writeable
+    assert not np.shares_memory(reduced, codes)
+    assert np.array_equal(codes, before)
+    expected, expected_pivots = naive_rref(codes.tolist(), codes.shape[1], GF2 if symbols == 2 else GF4)
+    assert pivots == expected_pivots
+    assert reduced.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda q: st.tuples(st.just(q), matrices(q))))
+def test_rref_codes_contract(drawn):
+    symbols, (cols, rows) = drawn
+    check_rref_codes(as_array(rows, cols), symbols)
+
+
+@pytest.mark.parametrize("symbols", [2, 4])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (5, 0), (9, 7), (9, 8), (9, 9), (9, 16)])
+def test_rref_codes_contract_at_byte_and_plane_boundaries(symbols, rows, cols):
+    # 0/1 codes pack as one plane, others as two; 8 and 16 columns fill whole bytes
+    codes = np.random.default_rng([21, symbols, cols]).integers(0, symbols, (rows, cols), dtype=np.uint8)
+    if rows:
+        codes[1], codes[2] = MUL[symbols - 1, codes[0]], 0
+    check_rref_codes(codes, symbols)
 
 
 @settings(max_examples=100, deadline=None)

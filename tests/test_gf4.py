@@ -310,6 +310,16 @@ def test_from_codes_validates_its_input():
         Gf4Matrix.from_codes([[0, 4]])
 
 
+def test_constructor_takes_uint8_codes_only():
+    # == compares values but hash reads bytes, so a wider dtype would split equal matrices
+    with pytest.raises(ParameterError):
+        Gf4Matrix(np.array([[1, 2]], dtype=np.int64))
+    wide = Gf4Matrix.from_codes(np.array([[1, 2], [3, 0]], dtype=np.int64))
+    narrow = Gf4Matrix.from_codes(np.array([[1, 2], [3, 0]], dtype=np.uint8))
+    assert wide == narrow and hash(wide) == hash(narrow)
+    assert len({wide, narrow}) == 1
+
+
 def test_matrix_shares_no_storage_with_callers():
     codes = np.array([[0, 1], [2, 3]], dtype=np.uint8)
     m = Gf4Matrix.from_codes(codes)
