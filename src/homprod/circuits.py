@@ -290,6 +290,6 @@ def verify_encoder(circuit: EncodingCircuit, target) -> bool:
         )
     tableau = initial_tableau(circuit)
     tableau.apply_circuit(circuit.gates)
-    z_ok = row_space_basis(tableau.z_part) == rref_row_space(*op.transposed_reduction)
+    z_ok = row_space_basis(tableau.z_part) == rref_row_space(*op.adjoint_reduction)
     x_ok = row_space_basis(tableau.x_part) == rref_row_space(*op.reduction)
     return z_ok and x_ok

@@ -178,7 +178,7 @@ def _cmd_gf4_product(args) -> int:
     d1 = Gf4Boundary(parse_gf4_matrix(Path(args.a).read_text()))
     d2 = Gf4Boundary(parse_gf4_matrix(Path(args.b).read_text()))
     p = gf4_product(d1, d2)
-    text = serialize_gf4_matrix(p.delta)
+    text = serialize_gf4_matrix(p.matrix)
     _write_or_print(args, text)
     _emit(
         args,

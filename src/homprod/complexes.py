@@ -25,54 +25,20 @@ from .gf2 import (
     vector_from_bits,
     vector_to_bits,
 )
-from .linalg import residue
+from .linalg import Boundary, residue
 
 
-class BoundaryOperator:
-    """An M x M matrix over GF(2) that squares to zero.
+class BoundaryOperator(Boundary):
+    """An M x M matrix over GF(2) that squares to zero; its adjoint is its transpose."""
 
-    `reduction` is `matrix.rref()`, the reduced form and pivots computed once
-    at construction for the rank and homological dimension.  Kernel bases,
-    the row space and the distance search start from it, so none of them
-    eliminates the matrix again; instances are treated as immutable.
-    `transposed_reduction` does the same for the transpose, whose row space
-    is the image, on first use.
-    """
-
-    __slots__ = ("matrix", "reduction", "rank", "hom_dim", "_transposed")
+    __slots__ = ()
 
     def __init__(self, matrix: BitMatrix):
         if matrix.rows != matrix.cols:
             raise ParameterError("boundary operator must be square")
         if not (matrix @ matrix).is_zero():
             raise ParameterError("matrix does not square to zero")
-        self.matrix = matrix
-        self.reduction = matrix.rref()
-        self.rank = len(self.reduction[1])
-        self.hom_dim = matrix.rows - 2 * self.rank
-        self._transposed = None
-
-    @property
-    def m(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def transposed_reduction(self) -> tuple[BitMatrix, list[int]]:
-        """`matrix.transpose().rref()`, eliminated on first use and then kept."""
-        if self._transposed is None:
-            self._transposed = self.matrix.transpose().rref()
-        return self._transposed
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BoundaryOperator):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"BoundaryOperator(M={self.m}, H={self.hom_dim})"
+        super().__init__(matrix)
 
 
 class ReducedOperator:
@@ -154,7 +120,7 @@ def homology_representatives(d: BoundaryOperator) -> list[np.ndarray]:
     The returned H vectors are coset representatives of the homology group;
     selection is greedy over the canonical kernel basis, hence deterministic.
     """
-    return extend_basis(rref_row_space(*d.transposed_reduction), rref_kernel(*d.reduction))
+    return extend_basis(rref_row_space(*d.adjoint_reduction), rref_kernel(*d.reduction))
 
 
 def canonical_witness(d: BoundaryOperator) -> BitMatrix:
@@ -166,7 +132,7 @@ def canonical_witness(d: BoundaryOperator) -> BitMatrix:
     """
     m = d.m
     h = d.hom_dim
-    im = rref_row_space(*d.transposed_reduction)
+    im = rref_row_space(*d.adjoint_reduction)
     # homology_representatives(d), reusing this image basis
     hvecs = extend_basis(im, rref_kernel(*d.reduction))
     images = im.matrix.codes.T

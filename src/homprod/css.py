@@ -14,7 +14,7 @@ import numpy as np
 
 from .complexes import BoundaryOperator
 from .errors import DimensionError, PreconditionError
-from .gf2 import Basis, BitMatrix, row_space_basis
+from .gf2 import Basis, BitMatrix
 
 
 @dataclass
@@ -77,13 +77,6 @@ def boundary_from_checks(basis: Basis, u: BitMatrix) -> BoundaryOperator:
     if u.rank() != m:
         raise PreconditionError("change of basis matrix is singular")
     return BoundaryOperator(a @ u @ basis.matrix)
-
-
-def independent_checks(c: CssCode) -> CssCode:
-    """The same code with each check matrix thinned to independent rows."""
-    z = row_space_basis(c.a_z).matrix
-    x = row_space_basis(c.a_x).matrix
-    return CssCode(n=c.n, a_z=z, a_x=x, k=c.k, w=c.w, d_z=c.d_z, d_x=c.d_x)
 
 
 def steane_check_basis() -> Basis:

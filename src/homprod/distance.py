@@ -1,8 +1,8 @@
 """Exact minimum-weight search over nontrivial cycles and cocycles.
 
 d_z is the least weight over ker(d) outside im(d), and d_x the same for the
-transposed operator.  Both come from `search.min_cycle`, the search both
-fields share, run on 0/1 codes with the single scalar 1.
+transposed operator.  Both come from `search.boundary_cycle`, the front end
+both fields share, run on 0/1 codes with the single scalar 1.
 
 Witnesses are the (weight, lexicographic)-least nontrivial cycles, which
 makes them independent of the order of the search.
@@ -18,8 +18,7 @@ import numpy as np
 from .complexes import BoundaryOperator
 from .errors import DimensionError
 from .gf2 import rref_row_space, vector_from_bits, vector_to_bits, vector_weight, zero_vector
-from .linalg import Reduction
-from .search import DEFAULT_BUDGET, check_witness, min_cycle
+from .search import DEFAULT_BUDGET, boundary_cycle, check_witness, min_cycle
 
 
 @dataclass
@@ -35,18 +34,6 @@ class DistanceResult:
     wall_time: float
 
 
-def _reductions(d: BoundaryOperator) -> tuple[Reduction, Reduction]:
-    """The stored reduced forms and pivots of d and of d^T, as 0/1 codes."""
-    pairs = d.reduction, d.transposed_reduction
-    return tuple((reduced.codes, pivots) for reduced, pivots in pairs)
-
-
-def _min_cycle(a: np.ndarray, reduced, budget: int, limit: int | None = None) -> np.ndarray | None:
-    """`search.min_cycle` on a dense 0/1 matrix, given the reduced forms of a and a^T."""
-    found = min_cycle(a, reduced, (1,), budget, limit)
-    return None if found is None else vector_from_bits(found)
-
-
 def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Exact d_z and d_x.
 
@@ -57,10 +44,8 @@ def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResul
     search gets the two reduced forms swapped.
     """
     t0 = time.perf_counter()
-    codes = d.matrix.codes
-    own, transposed = _reductions(d)
-    wit_z = _min_cycle(codes, (own, transposed), budget)
-    wit_x = _min_cycle(codes.T, (transposed, own), budget)
+    wit_z = vector_from_bits(boundary_cycle(d, budget))
+    wit_x = vector_from_bits(boundary_cycle(d, budget, dual=True))
     return DistanceResult(
         d_z=vector_weight(wit_z),
         d_x=vector_weight(wit_x),
@@ -90,7 +75,8 @@ def distance_upper_bound(
     A None return is a proof that d_z exceeds `bound`: the search stops only
     once every cycle that light has been seen.
     """
-    return _min_cycle(d.matrix.codes, _reductions(d), budget, bound)
+    found = boundary_cycle(d, budget, bound)
+    return None if found is None else vector_from_bits(found)
 
 
 def kernel_minimum(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> int:
@@ -113,6 +99,6 @@ def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
     if witness.shape != zero_vector(d.m).shape:
         raise DimensionError(f"witness has {witness.size} words, operator has m={d.m}")
     weight = vector_weight(witness)
-    image = rref_row_space(*d.transposed_reduction).matrix.codes
+    image = rref_row_space(*d.adjoint_reduction).matrix.codes
     check_witness(d.matrix.codes, vector_to_bits(witness, d.m), weight, image)
     return weight

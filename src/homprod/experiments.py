@@ -198,7 +198,7 @@ def fivequbit_squared() -> ExperimentReport:
     for i, d1 in enumerate(factors):
         for j, d2 in enumerate(factors):
             p = gf4_product(d1, d2)
-            w = max(p.delta.max_row_weight(), p.delta.max_column_weight())
+            w = max(p.matrix.max_row_weight(), p.matrix.max_column_weight())
             max_weight = max(max_weight, w)
             r = gf4_distance(p)
             per_pair.append({"u": i, "v": j, "d": r.d})

@@ -1,13 +1,11 @@
 """Linear algebra over GF(2).
 
-A `BitMatrix` is one uint8 array of 0/1 codes, as a `Gf4Matrix` is one of
-GF(4) codes, so its products, elimination, null bases and span tests are
-linalg's `matmul_codes`, `rref_codes`, `null_basis` and `residue`, the
-kernels both fields share.  A reduced form is unique for its row space, so
-every derived basis is deterministic; kernel and image bases are returned
-in reduced echelon form so span equality can be tested by direct
-comparison.  Vectors are packed, 64 coordinates per uint64 word, and
-`BitMatrix.data` packs a matrix's rows into such vectors.
+A `BitMatrix` is linalg's `CodeMatrix` on 0/1 codes, and its null bases and
+span tests are linalg's `null_basis` and `residue`.  A reduced form is
+unique for its row space, so every derived basis is deterministic; kernel
+and image bases are returned in reduced echelon form so span equality can
+be tested by direct comparison.  Vectors are packed, 64 coordinates per
+uint64 word, and `BitMatrix.data` packs a matrix's rows into such vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import matmul_codes, null_basis, residue, rref_codes
+from .linalg import CodeMatrix, null_basis, residue, rref_codes
 
 WORD_BITS = 64
 
@@ -47,47 +45,20 @@ def unpack_rows(data: np.ndarray, cols: int) -> np.ndarray:
     return bits[:, :cols].reshape(rows, cols)
 
 
-class BitMatrix:
-    """A rows x cols matrix over GF(2), stored as one uint8 array of 0/1 codes.
+class BitMatrix(CodeMatrix):
+    """A rows x cols matrix over GF(2): a `CodeMatrix` of 0/1 codes.
 
-    The constructor keeps the array it is given, while `from_dense` and
-    `to_dense` copy.  `data` packs the rows into GF(2) vectors, 64
-    coordinates per uint64 word, on each read.
+    `from_dense` and `to_dense` copy.  `data` packs the rows into GF(2)
+    vectors, 64 coordinates per uint64 word, on each read.
     """
 
-    __slots__ = ("codes",)
-
-    def __init__(self, codes: np.ndarray):
-        if codes.ndim != 2:
-            raise DimensionError(f"expected a two dimensional array, got shape {codes.shape}")
-        if codes.dtype != np.uint8 or codes.size and codes.max() > 1:
-            raise ParameterError("GF(2) codes must be a uint8 array of 0s and 1s")
-        self.codes = codes
-
-    @property
-    def rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.codes.shape[1]
+    __slots__ = ()
+    field, top = "GF(2)", 1
 
     @property
     def data(self) -> np.ndarray:
         """The rows as packed vectors, shape (rows, ceil(cols / 64)), a new array."""
         return pack_rows(self.codes)
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        if rows < 0 or cols < 0:
-            raise ParameterError("matrix dimensions must be non-negative")
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
@@ -98,78 +69,13 @@ class BitMatrix:
         """Uniformly random matrix, deterministic for a given generator state."""
         return cls(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
 
-    # -- element access and weights ---------------------------------------
-
     def get(self, i: int, j: int) -> int:
         return int(self.codes[i, j])
 
     def set(self, i: int, j: int, value: int) -> None:
         self.codes[i, j] = value & 1
 
-    def row_weight(self, i: int) -> int:
-        return int(np.count_nonzero(self.codes[i]))
-
-    def max_row_weight(self) -> int:
-        return int(np.count_nonzero(self.codes, axis=1).max(initial=0))
-
-    def max_column_weight(self) -> int:
-        return int(np.count_nonzero(self.codes, axis=0).max(initial=0))
-
-    def to_dense(self) -> np.ndarray:
-        return self.codes.copy()
-
-    # -- basic algebra ------------------------------------------------------
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.codes.copy())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self.codes, other.codes))
-
-    def __hash__(self) -> int:
-        return hash((self.codes.shape, self.codes.tobytes()))
-
-    def __xor__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.codes.shape != other.codes.shape:
-            raise DimensionError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return BitMatrix(self.codes ^ other.codes)
-
-    def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        return BitMatrix(matmul_codes(self.codes, other.codes))
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.codes.T.copy())
-
-    def kron(self, other: "BitMatrix") -> "BitMatrix":
-        return BitMatrix(np.kron(self.codes, other.codes))
-
-    def is_zero(self) -> bool:
-        return not self.codes.any()
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
-
-    # -- elimination --------------------------------------------------------
-
-    def rref(self) -> tuple["BitMatrix", list[int]]:
-        """Reduced row echelon form and its pivot columns, by `linalg.rref_codes`.
-
-        The result is the unique reduced form of the row space and shares
-        no storage with this matrix.
-        """
-        reduced, pivots = rref_codes(self.codes)
-        return BitMatrix(reduced), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
+    to_dense = CodeMatrix.to_codes
 
 
 # -- vectors ----------------------------------------------------------------
@@ -200,11 +106,6 @@ def vector_to_bits(v: np.ndarray, n: int) -> np.ndarray:
 
 def vector_weight(v: np.ndarray) -> int:
     return int(np.bitwise_count(v).sum())
-
-
-def dot_parity(u: np.ndarray, v: np.ndarray) -> int:
-    """Standard inner product over GF(2)."""
-    return int(np.bitwise_count(u & v).sum()) & 1
 
 
 # -- spans and bases ----------------------------------------------------------

@@ -1,8 +1,9 @@
 r"""GF(4)-linear stabilizer codes from self-adjoint boundary operators.
 
-Elements are the codes 0, 1, 2, 3 of `linalg` (0, 1, w, W = w^2), and a
-matrix is one uint8 array of codes.  Products, elimination and the distance
-search are the kernels GF(2) shares, run with the scalars {1, w, W}.
+Elements are the codes 0, 1, 2, 3 of `linalg` (0, 1, w, W = w^2).  A
+`Gf4Matrix` is linalg's `CodeMatrix` on them and a `Gf4Boundary` its
+`Boundary`, so the algebra and the distance front end are those of GF(2),
+run with the scalars {1, w, W}.
 
 A self-orthogonal subspace C (Hermitian products (f,g) = sum conj(f_j) g_j
 all zero) defines a stabilizer code with k = n - 2 dim C.  A boundary
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DimensionError, ParameterError, PreconditionError
-from .linalg import CONJ, INV, MUL, adjoint_image, matmul_codes, null_basis, rref_codes
-from .search import DEFAULT_BUDGET, check_witness, min_cycle
+from .linalg import CONJ, INV, MUL, Boundary, CodeMatrix, adjoint_image, matmul_codes, rref_codes
+from .search import DEFAULT_BUDGET, boundary_cycle, check_witness
 
 SYMBOLS = "01wW"
 
@@ -97,35 +98,11 @@ def _code(s) -> int:
     return s.value if isinstance(s, Gf4Element) else Gf4Element(int(s)).value
 
 
-class Gf4Matrix:
-    """A rows x cols matrix over GF(4), stored as one uint8 array of codes."""
+class Gf4Matrix(CodeMatrix):
+    """A rows x cols matrix over GF(4): a `CodeMatrix` of codes 0..3."""
 
-    __slots__ = ("codes",)
-
-    def __init__(self, codes: np.ndarray):
-        if codes.ndim != 2:
-            raise DimensionError(f"expected a two dimensional array, got shape {codes.shape}")
-        if codes.dtype != np.uint8 or codes.size and codes.max() > 3:
-            raise ParameterError("GF(4) codes must be a uint8 array of codes 0..3")
-        self.codes = codes
-
-    @property
-    def rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.codes.shape[1]
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf4Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf4Matrix":
-        return cls(np.eye(n, dtype=np.uint8))
+    __slots__ = ()
+    field, top = "GF(4)", 3
 
     @classmethod
     def from_codes(cls, codes) -> "Gf4Matrix":
@@ -135,43 +112,11 @@ class Gf4Matrix:
     def from_symbol_rows(cls, lines) -> "Gf4Matrix":
         return cls.from_codes(np.array([gf4_vector(line) for line in lines]))
 
-    def to_codes(self) -> np.ndarray:
-        return self.codes.copy()
-
-    # -- element access ------------------------------------------------------
-
     def get(self, i: int, j: int) -> Gf4Element:
         return Gf4Element(int(self.codes[i, j]))
 
     def set(self, i: int, j: int, value) -> None:
         self.codes[i, j] = _code(value)
-
-    # -- algebra -------------------------------------------------------------
-
-    def copy(self) -> "Gf4Matrix":
-        return Gf4Matrix(self.codes.copy())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Gf4Matrix):
-            return NotImplemented
-        return bool(np.array_equal(self.codes, other.codes))
-
-    def __hash__(self) -> int:
-        return hash((self.codes.shape, self.codes.tobytes()))
-
-    def __add__(self, other: "Gf4Matrix") -> "Gf4Matrix":
-        if self.codes.shape != other.codes.shape:
-            raise DimensionError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return Gf4Matrix(self.codes ^ other.codes)
-
-    def __matmul__(self, other: "Gf4Matrix") -> "Gf4Matrix":
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        return Gf4Matrix(matmul_codes(self.codes, other.codes))
 
     def scale(self, s) -> "Gf4Matrix":
         return Gf4Matrix(MUL[_code(s), self.codes])
@@ -179,45 +124,9 @@ class Gf4Matrix:
     def conjugate(self) -> "Gf4Matrix":
         return Gf4Matrix(CONJ[self.codes])
 
-    def transpose(self) -> "Gf4Matrix":
-        return Gf4Matrix(self.codes.T.copy())
-
-    def adjoint(self) -> "Gf4Matrix":
-        """Conjugate transpose; the * in delta* = delta."""
-        return Gf4Matrix(CONJ[self.codes.T])
-
-    def kron(self, other: "Gf4Matrix") -> "Gf4Matrix":
-        prod = MUL[self.codes[:, None, :, None], other.codes[None, :, None, :]]
-        return Gf4Matrix(prod.reshape(self.rows * other.rows, self.cols * other.cols))
-
-    def is_zero(self) -> bool:
-        return not self.codes.any()
-
-    # -- weights -------------------------------------------------------------
-
-    def row_weight(self, i: int) -> int:
-        return int(np.count_nonzero(self.codes[i]))
-
-    def max_row_weight(self) -> int:
-        return int(np.count_nonzero(self.codes, axis=1).max(initial=0))
-
-    def max_column_weight(self) -> int:
-        return int(np.count_nonzero(self.codes, axis=0).max(initial=0))
-
-    def __repr__(self) -> str:
-        return f"Gf4Matrix({self.rows}x{self.cols})"
-
 
 def gf4_rank(m: Gf4Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(rref_codes(m.codes)[1])
-
-
-def gf4_row_space(m: Gf4Matrix) -> np.ndarray:
-    """Canonical basis of the row space, one code row per basis vector."""
-    reduced, pivots = rref_codes(m.codes)
-    return reduced[: len(pivots)]
+    return m.rank()
 
 
 def gf4_image(m: Gf4Matrix) -> np.ndarray:
@@ -225,26 +134,18 @@ def gf4_image(m: Gf4Matrix) -> np.ndarray:
     return adjoint_image(*rref_codes(m.adjoint().codes))
 
 
-def gf4_kernel(m: Gf4Matrix) -> np.ndarray:
-    """Canonical basis of the right kernel, one code row per basis vector."""
-    return null_basis(*rref_codes(m.codes))
-
-
 # -- boundary operators --------------------------------------------------------
 
 
-class Gf4Boundary:
-    """A square GF(4) matrix with delta* = delta and delta^2 = 0.
+class Gf4Boundary(Boundary):
+    """A square GF(4) matrix `delta` (= `matrix`) with delta* = delta and delta^2 = 0.
 
-    The image of such an operator is self-orthogonal, so it serves as the
-    parity-check space of a stabilizer code on m qubits with
-    k = m - 2 rank = dim ker - dim im logical qubits.  `reduction` is the
-    reduced form of delta and its pivots, computed once for the rank; since
-    delta* = delta it is also the reduced form of delta*, and the distance
-    search and witness check start from it.
+    Its image is self-orthogonal, so it is the parity-check space of a
+    stabilizer code on m qubits with k = m - 2 rank = dim ker - dim im.
+    `adjoint_reduction` is `reduction`, so searches eliminate nothing.
     """
 
-    __slots__ = ("delta", "reduction", "rank", "hom_dim")
+    __slots__ = ()
 
     def __init__(self, delta: Gf4Matrix):
         if delta.rows != delta.cols:
@@ -253,31 +154,12 @@ class Gf4Boundary:
             raise PreconditionError("operator is not self-adjoint")
         if not (delta @ delta).is_zero():
             raise PreconditionError("operator does not square to zero")
-        self.delta = delta
-        self.reduction = rref_codes(delta.codes)
-        self.rank = len(self.reduction[1])
-        self.hom_dim = delta.rows - 2 * self.rank
+        super().__init__(delta)
+        self._adjoint = self.reduction
 
     @property
-    def m(self) -> int:
-        return self.delta.rows
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Gf4Boundary):
-            return NotImplemented
-        return self.delta == other.delta
-
-    def __repr__(self) -> str:
-        return f"Gf4Boundary(m={self.m}, H={self.hom_dim})"
-
-
-def hermitian_inner(f, g) -> Gf4Element:
-    """Sum of conj(f_j) * g_j over GF(4)."""
-    f = gf4_vector(f)
-    g = gf4_vector(g)
-    if f.shape != g.shape:
-        raise DimensionError(f"length mismatch: {f.size} vs {g.size}")
-    return Gf4Element(int(matmul_codes(CONJ[f][None, :], g[:, None])[0, 0]))
+    def delta(self) -> Gf4Matrix:
+        return self.matrix
 
 
 def is_self_orthogonal(basis) -> bool:
@@ -318,10 +200,10 @@ def gf4_boundary_from_checks(basis, u: Gf4Matrix, ambient_dim: int | None = None
         raise PreconditionError("check vectors do not span a self-orthogonal space")
     if not (u.adjoint() == u):
         raise PreconditionError("u is not self-adjoint")
-    if gf4_rank(u) != m:
+    if u.rank() != m:
         raise PreconditionError("u is singular")
     a = Gf4Matrix.from_codes(np.array(vecs).T)
-    if gf4_rank(a) != m:
+    if a.rank() != m:
         raise PreconditionError("check vectors are not linearly independent")
     return Gf4Boundary(a @ u @ a.adjoint())
 
@@ -362,9 +244,7 @@ def gf4_product(d1: Gf4Boundary, d2: Gf4Boundary) -> Gf4Boundary:
     Self-adjointness and squaring to zero are inherited: the cross terms of
     the square cancel in characteristic 2.
     """
-    i1 = Gf4Matrix.identity(d1.m)
-    i2 = Gf4Matrix.identity(d2.m)
-    return Gf4Boundary(d1.delta.kron(i2) + i1.kron(d2.delta))
+    return Gf4Boundary(d1.matrix.tensor_sum(d2.matrix))
 
 
 # -- fixed check bases ----------------------------------------------------------
@@ -403,14 +283,15 @@ def gf4_verify_witness(d: Gf4Boundary, witness) -> int:
     if v.size != d.m:
         raise DimensionError(f"witness has length {v.size}, operator has m={d.m}")
     weight = gf4_weight(v)
-    check_witness(d.delta.codes, v, weight, adjoint_image(*d.reduction))
+    reduced, pivots = d.adjoint_reduction
+    check_witness(d.matrix.codes, v, weight, adjoint_image(reduced.codes, pivots))
     return weight
 
 
 def gf4_distance(
     d: Gf4Boundary, budget: int = DEFAULT_BUDGET, threads: int = 1
 ) -> Gf4DistanceResult:
-    """Exact minimum weight over ker(delta) \\ im(delta), by `min_cycle`.
+    """Exact minimum weight over ker(delta) \\ im(delta), by `boundary_cycle`.
 
     The witness is the lexicographically least lightest nontrivial cycle
     whose first nonzero entry is 1.  `threads` is ignored: it is kept only
@@ -418,7 +299,7 @@ def gf4_distance(
     search runs on one thread.
     """
     t0 = time.perf_counter()
-    witness = min_cycle(d.delta.codes, (d.reduction, d.reduction), (1, 2, 3), budget)
+    witness = boundary_cycle(d, budget)
     return Gf4DistanceResult(
         d=gf4_weight(witness),
         witness=witness,
@@ -435,4 +316,4 @@ def gf4_distance_upper_bound(
     A None return is a proof that the distance exceeds `bound`: the search
     stops only once every cycle that light has been seen.
     """
-    return min_cycle(d.delta.codes, (d.reduction, d.reduction), (1, 2, 3), budget, bound)
+    return boundary_cycle(d, budget, bound)

@@ -1,13 +1,16 @@
-"""The elimination kernel, matrix product and reduced-form kit of both fields.
+"""The matrix class, boundary base, kernels and reduced-form kit of both fields.
 
 GF(4) = {0, 1, w, W} (W = w^2) is held as the codes 0, 1, 2, 3, so addition
 is XOR of codes and the other operations are lookups in `MUL`, `CONJ` and
-`INV`; GF(2) is the 0/1 subfield.
+`INV`; GF(2) is the 0/1 subfield.  `gf2` and `gf4` subclass the one matrix
+class, `CodeMatrix`, and the one boundary base, `Boundary`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DimensionError, ParameterError
 
 # Multiplication from the cyclic group {1, w, W}: codes 1, 2, 3 are w^0, w^1,
 # w^2 and exponents add mod 3.  Conjugation is squaring, inversion is cubing
@@ -157,3 +160,158 @@ def residue(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v.copy()
     leads = np.argmax(rows != 0, axis=1)
     return v ^ np.bitwise_xor.reduce(MUL[v[..., leads, None], rows], axis=-2)
+
+
+# -- matrices and boundary operators ---------------------------------------------
+
+
+class CodeMatrix:
+    """A rows x cols matrix stored as one uint8 array of field codes, `codes`.
+
+    A subclass fixes the field: `field` names it and `top` is its largest
+    code, 1 for GF(2) and 3 for GF(4).  On 0/1 codes `adjoint` is the
+    transpose and `kron` is `np.kron`, so every method here serves both
+    fields, and each result has the class of the matrix it came from.
+    The constructor keeps the array it is given; `to_codes` copies.
+    """
+
+    __slots__ = ("codes",)
+    field: str
+    top: int
+
+    def __init__(self, codes: np.ndarray):
+        if codes.ndim != 2:
+            raise DimensionError(f"expected a two dimensional array, got shape {codes.shape}")
+        if codes.dtype != np.uint8 or codes.size and codes.max() > self.top:
+            raise ParameterError(f"{self.field} codes must be a uint8 array of codes 0..{self.top}")
+        self.codes = codes
+
+    @property
+    def rows(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.codes.shape[1]
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int):
+        if rows < 0 or cols < 0:
+            raise ParameterError("matrix dimensions must be non-negative")
+        return cls(np.zeros((rows, cols), dtype=np.uint8))
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls(np.eye(n, dtype=np.uint8))
+
+    def to_codes(self) -> np.ndarray:
+        return self.codes.copy()
+
+    def copy(self):
+        return type(self)(self.codes.copy())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return bool(np.array_equal(self.codes, other.codes))
+
+    def __hash__(self) -> int:
+        return hash((self.codes.shape, self.codes.tobytes()))
+
+    def __add__(self, other):
+        if self.codes.shape != other.codes.shape:
+            raise DimensionError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        return type(self)(self.codes ^ other.codes)
+
+    __xor__ = __add__
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise DimensionError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        return type(self)(matmul_codes(self.codes, other.codes))
+
+    def transpose(self):
+        return type(self)(self.codes.T.copy())
+
+    def adjoint(self):
+        """Conjugate transpose; the * in delta* = delta."""
+        return type(self)(CONJ[self.codes.T])
+
+    def kron(self, other):
+        prod = MUL[self.codes[:, None, :, None], other.codes[None, :, None, :]]
+        return type(self)(prod.reshape(self.rows * other.rows, self.cols * other.cols))
+
+    def tensor_sum(self, other):
+        """self (x) I + I (x) other, index (i, j) at row-major position i * other.rows + j."""
+        eye = type(self).identity
+        return self.kron(eye(other.rows)) + eye(self.rows).kron(other)
+
+    def is_zero(self) -> bool:
+        return not self.codes.any()
+
+    def row_weight(self, i: int) -> int:
+        return int(np.count_nonzero(self.codes[i]))
+
+    def max_row_weight(self) -> int:
+        return int(np.count_nonzero(self.codes, axis=1).max(initial=0))
+
+    def max_column_weight(self) -> int:
+        return int(np.count_nonzero(self.codes, axis=0).max(initial=0))
+
+    def rref(self):
+        """The unique reduced row echelon form, in new storage, and its pivots."""
+        reduced, pivots = rref_codes(self.codes)
+        return type(self)(reduced), pivots
+
+    def rank(self) -> int:
+        return len(rref_codes(self.codes)[1])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.rows}x{self.cols})"
+
+
+class Boundary:
+    """A square code matrix that squares to zero, with its reduced forms.
+
+    Subclasses validate the matrix for their field first.  `reduction`, the
+    `rref()` that the rank needs, is where kernels, row spaces and the
+    distance search start; `adjoint_reduction`, whose rows conjugate to an
+    image basis, is `reduction` itself for a self-adjoint matrix.
+    Instances are treated as immutable.
+    """
+
+    __slots__ = ("matrix", "reduction", "rank", "hom_dim", "_adjoint")
+
+    def __init__(self, matrix: CodeMatrix):
+        self.matrix = matrix
+        self.reduction = matrix.rref()
+        self.rank = len(self.reduction[1])
+        self.hom_dim = matrix.rows - 2 * self.rank
+        self._adjoint = None
+
+    @property
+    def m(self) -> int:
+        return self.matrix.rows
+
+    @property
+    def adjoint_reduction(self) -> tuple[CodeMatrix, list[int]]:
+        """`matrix.adjoint().rref()`, eliminated on first use and then kept."""
+        if self._adjoint is None:
+            adjoint = self.matrix.adjoint()
+            self._adjoint = self.reduction if adjoint == self.matrix else adjoint.rref()
+        return self._adjoint
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(m={self.m}, H={self.hom_dim})"

@@ -36,10 +36,8 @@ class ProductComplex:
 
 def product(d1: BoundaryOperator, d2: BoundaryOperator) -> ProductComplex:
     """delta1 (x) I + I (x) delta2 on the row-major product basis."""
-    eye1 = BitMatrix.identity(d1.m)
-    eye2 = BitMatrix.identity(d2.m)
-    partial = d1.matrix.kron(eye2) ^ eye1.kron(d2.matrix)
-    return ProductComplex(partial=BoundaryOperator(partial), factor1=d1, factor2=d2)
+    partial = BoundaryOperator(d1.matrix.tensor_sum(d2.matrix))
+    return ProductComplex(partial=partial, factor1=d1, factor2=d2)
 
 
 def kunneth_report(p: ProductComplex, cap: int = 400) -> dict:
@@ -63,7 +61,7 @@ def kunneth_report(p: ProductComplex, cap: int = 400) -> dict:
     if p.n <= cap:
         k1 = rref_kernel(*p.factor1.reduction).matrix
         k2 = rref_kernel(*p.factor2.reduction).matrix
-        im = rref_row_space(*p.partial.transposed_reduction).matrix
+        im = rref_row_space(*p.partial.adjoint_reduction).matrix
         dim_span = BitMatrix(np.concatenate([k1.kron(k2).codes, im.codes])).rank()
         report["span_checked"] = True
         report["dim_span"] = dim_span
@@ -85,7 +83,7 @@ def logical_basis(p: ProductComplex) -> Basis:
         for f in (p.factor1, p.factor2)
     )
     reps = BitMatrix(np.kron(reps1, reps2))
-    im = rref_row_space(*p.partial.transposed_reduction)
+    im = rref_row_space(*p.partial.adjoint_reduction)
     stacked = BitMatrix(np.concatenate([im.matrix.codes, reps.codes]))
     if stacked.rank() != im.dim + reps.rows:
         raise InvariantError("logical representatives are dependent modulo the image")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BudgetError, NoLogicalsError, WitnessError
 from .linalg import (
-    CONJ, INV, MUL, Reduction, adjoint_image, matmul_codes, null_basis, residue, rref_codes
+    CONJ, INV, MUL, Boundary, Reduction, adjoint_image, matmul_codes, null_basis, residue, rref_codes
 )
 
 # Vectors a distance search may visit, and the bytes of one enumeration table
@@ -29,11 +29,11 @@ _TABLE_BYTES = 1 << 20
 # run on 0/1 codes with the single scalar 1, GF(4) ones with {1, w, W}.
 #
 # Every basis comes from the reduced forms of a and a* that the caller
-# hands in, which a Gf4Boundary or BoundaryOperator keeps from its
-# constructor (a self-adjoint delta is its own delta*).  rref(a) gives the
-# kernel basis, the identity on the free columns of a and so the first
-# information set; rref(a*) gives ker(a*) and, conjugated, the reduced
-# basis of im(a) against which the witness check reduces the witness.
+# hands in, which `boundary_cycle` takes from a linalg `Boundary` (one
+# object when a* = a).  rref(a) gives the kernel basis, the identity on the
+# free columns of a and so the first information set; rref(a*) gives
+# ker(a*) and, conjugated, the reduced basis of im(a) against which the
+# witness check reduces the witness.
 #
 # Combinations are enumerated packed.  Each information set's generators are
 # packed once per search, with every scalar multiple: plane p of a vector
@@ -313,6 +313,21 @@ def min_cycle(
     if best is not None:
         check_witness(a, best, cut, image)
     return best
+
+
+def boundary_cycle(
+    b: Boundary, budget: int, limit: int | None = None, dual: bool = False
+) -> np.ndarray | None:
+    """`min_cycle` on the matrix of a linalg `Boundary`, or on its adjoint if `dual`.
+
+    The scalars are the field's nonzero codes, 1 to `b.matrix.top`, and the
+    reduced forms are the boundary's stored ones, swapped for the adjoint.
+    """
+    pair = [(reduced.codes, pivots) for reduced, pivots in (b.reduction, b.adjoint_reduction)]
+    a = b.matrix
+    if dual:
+        a, pair = a.adjoint(), pair[::-1]
+    return min_cycle(a.codes, tuple(pair), tuple(range(1, a.top + 1)), budget, limit)
 
 
 def check_witness(a: np.ndarray, witness: np.ndarray, weight: int, image: np.ndarray) -> None:

@@ -21,6 +21,16 @@ from homprod.gf2 import (
     vector_from_support,
     vector_to_bits,
 )
+from homprod.css import boundary_from_checks, steane_check_basis
+from homprod.gf4 import (
+    Gf4Boundary,
+    Gf4Matrix,
+    enumerate_selfadjoint_invertible,
+    five_qubit_check_basis,
+    gf4_boundary_from_checks,
+    gf4_product,
+    steane_gf4_check_basis,
+)
 from homprod.product import product
 
 
@@ -195,7 +205,28 @@ def test_transposed_reduction_is_the_stored_rref_of_the_transpose():
     ops = [random_boundary(m, h, rng) for m, h in ((1, 1), (6, 2), (9, 3), (20, 0), (70, 2))]
     ops.append(product(ops[1], ops[2]).partial)
     for d in ops:
-        reduced, pivots = d.transposed_reduction
+        reduced, pivots = d.adjoint_reduction
         expected, expected_pivots = d.matrix.transpose().rref()
         assert reduced == expected and pivots == expected_pivots
-        assert d.transposed_reduction is d.transposed_reduction
+        assert d.adjoint_reduction is d.adjoint_reduction
+
+
+def test_adjoint_reduction_is_the_reduction_of_a_symmetric_operator():
+    d = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
+    assert d.matrix.transpose() == d.matrix
+    assert d.adjoint_reduction is d.reduction
+    square = product(d, d).partial
+    assert square.adjoint_reduction is square.reduction
+
+
+def test_every_gf4_boundary_keeps_one_reduction_for_its_adjoint():
+    # delta* = delta is checked on construction, so no second elimination is kept
+    fq = [
+        gf4_boundary_from_checks(five_qubit_check_basis(), u)
+        for u in enumerate_selfadjoint_invertible(2)
+    ]
+    steane = gf4_boundary_from_checks(steane_gf4_check_basis(), Gf4Matrix.identity(3))
+    zero = Gf4Boundary(Gf4Matrix.zeros(2, 2))
+    for d in [*fq, steane, gf4_product(fq[0], fq[1]), gf4_product(steane, fq[2]), zero]:
+        assert d.adjoint_reduction is d.reduction
+        assert d.matrix.adjoint() == d.matrix

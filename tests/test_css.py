@@ -9,7 +9,6 @@ from homprod.css import (
     CssCode,
     boundary_from_checks,
     code_from_complex,
-    independent_checks,
     stabilizer_weight,
     steane_check_basis,
 )
@@ -85,15 +84,6 @@ def test_random_self_orthogonal_bases():
         assert image_basis(d.matrix) == basis
         assert image_basis(d.matrix.transpose()) == basis
         count += 1
-
-
-def test_independent_checks_preserves_spans():
-    d = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
-    c = code_from_complex(d)
-    thin = independent_checks(c)
-    assert thin.a_z.rows == 3 and thin.a_x.rows == 3
-    assert row_space_basis(thin.a_z) == row_space_basis(c.a_z)
-    assert thin.k == c.k
 
 
 def test_params_dict():

@@ -1,6 +1,6 @@
 """The shared elimination kernel against textbook elimination on Python lists.
 
-`BitMatrix.rref` (GF(2)) and the GF(4) row space, rank and kernel all run
+`BitMatrix.rref`, `Gf4Matrix.rref` and the GF(4) rank and kernel all run
 through linalg's `rref_codes` and its one integer-row kernel; the GF(2)
 span tests, basis extension and preimages use linalg's reduced-form helpers
 on top of it.  The oracle here reduces lists of field elements column by
@@ -26,8 +26,8 @@ from homprod.gf2 import (
     vector_from_bits,
     vector_to_bits,
 )
-from homprod.gf4 import Gf4Matrix, gf4_kernel, gf4_rank, gf4_row_space
-from homprod.linalg import rref_codes
+from homprod.gf4 import Gf4Matrix, gf4_rank
+from homprod.linalg import null_basis, rref_codes
 from test_gf4 import ADD, MUL
 
 GF2 = ([[0, 1], [1, 0]], [[0, 0], [0, 1]])
@@ -120,9 +120,10 @@ def test_gf4_row_space_rank_and_kernel_match_naive_elimination(drawn):
     codes = as_array(rows, cols)
     m = Gf4Matrix(codes.copy())
     expected, pivots = naive_rref(rows, cols, GF4)
-    assert gf4_row_space(m).tolist() == expected[: len(pivots)]
+    reduced, got = rref_codes(m.codes)
+    assert got == pivots and reduced[: len(got)].tolist() == expected[: len(pivots)]
     assert gf4_rank(m) == len(pivots)
-    kernel = gf4_kernel(m)
+    kernel = null_basis(reduced, got)
     assert kernel.dtype == np.uint8 and kernel.shape == (cols - len(pivots), cols)
     assert kernel.tolist() == naive_null_basis(expected, pivots, cols)
     assert np.array_equal(m.codes, codes)
@@ -166,7 +167,8 @@ def test_fields_agree_on_zero_one_matrices(drawn):
     cols, rows = drawn
     dense = as_array(rows, cols)
     packed, codes = BitMatrix.from_dense(dense), Gf4Matrix(dense.copy())
-    assert np.array_equal(row_space_basis(packed).matrix.to_dense(), gf4_row_space(codes))
+    reduced, pivots = codes.rref()
+    assert np.array_equal(row_space_basis(packed).matrix.to_dense(), reduced.codes[: len(pivots)])
     assert packed.rank() == gf4_rank(codes)
 
 
@@ -289,6 +291,6 @@ def test_more_rows_than_a_word_match_naive_elimination(symbols):
             assert got == pivots
             assert reduced.to_dense().tolist() == expected
         else:
-            m = Gf4Matrix(as_array(drawn, cols))
-            assert gf4_row_space(m).tolist() == expected[: len(pivots)]
-            assert gf4_kernel(m).tolist() == naive_null_basis(expected, pivots, cols)
+            reduced, got = rref_codes(as_array(drawn, cols))
+            assert reduced[: len(got)].tolist() == expected[: len(pivots)]
+            assert null_basis(reduced, got).tolist() == naive_null_basis(expected, pivots, cols)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from homprod import BitMatrix, DimensionError
 from homprod.complexes import BoundaryOperator
 from homprod.gf2 import (
-    dot_parity,
     extend_basis,
     image_basis,
     in_span,
@@ -171,10 +170,6 @@ def test_random_invertible_deterministic():
 def test_vector_helpers():
     v = vector_from_support(70, [0, 64, 69])
     assert vector_weight(v) == 3
-    assert dot_parity(v, v) == 1
-    u = vector_from_bits([1, 0, 1])
-    w = vector_from_bits([0, 1, 1])
-    assert dot_parity(u, w) == 1
 
 
 @settings(max_examples=60, deadline=None)

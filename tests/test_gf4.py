@@ -38,18 +38,16 @@ from homprod.gf4 import (
     gf4_distance,
     gf4_distance_upper_bound,
     gf4_image,
-    gf4_kernel,
     gf4_product,
     gf4_rank,
-    gf4_row_space,
     gf4_vector,
     gf4_verify_witness,
     gf4_weight,
-    hermitian_inner,
     is_self_orthogonal,
     steane_gf4_check_basis,
     vector_symbols,
 )
+from homprod.linalg import matmul_codes, null_basis, rref_codes
 from homprod.product import product
 
 # Codes: 0, 1, w, W with W = w^2.  Both tables follow from 1 + w + W = 0,
@@ -115,7 +113,7 @@ def naive_min_nontrivial(d):
     weight scaled to a leading 1, the lexicographically least code tuple.
     The image test is skipped only for vectors heavier than the best so far.
     """
-    ker = gf4_kernel(d.delta)
+    ker = null_basis(*rref_codes(d.delta.codes))
     im = gf4_image(d.delta)
     best = None
     for coeffs in itertools.product(range(4), repeat=ker.shape[0]):
@@ -291,16 +289,61 @@ def test_matrix_weights():
     assert Gf4Matrix.zeros(3, 4).is_zero()
 
 
-def test_matrix_operations_reject_mismatched_shapes():
-    a = Gf4Matrix.zeros(2, 3)
+# Both fields' matrices are linalg's CodeMatrix; the contracts below hold for each.
+MATRIX_CLASSES = [BitMatrix, Gf4Matrix]
+FROM_CODES = {BitMatrix: BitMatrix.from_dense, Gf4Matrix: Gf4Matrix.from_codes}
+
+
+@pytest.mark.parametrize("cls", MATRIX_CLASSES)
+def test_matrix_operations_reject_mismatched_shapes(cls):
+    a = cls.zeros(2, 3)
     with pytest.raises(DimensionError):
-        a + Gf4Matrix.zeros(1, 3)
+        a + cls.zeros(1, 3)
     with pytest.raises(DimensionError):
-        a + Gf4Matrix.zeros(2, 1)
+        a + cls.zeros(2, 1)
     with pytest.raises(DimensionError):
-        a @ Gf4Matrix.zeros(2, 3)
+        a ^ cls.zeros(2, 1)
     with pytest.raises(DimensionError):
-        a @ Gf4Matrix.zeros(1, 3)
+        a @ cls.zeros(2, 3)
+    with pytest.raises(DimensionError):
+        a @ cls.zeros(1, 3)
+
+
+@pytest.mark.parametrize("cls", MATRIX_CLASSES)
+def test_negative_sizes_are_rejected(cls):
+    with pytest.raises(ParameterError):
+        cls.zeros(-1, 2)
+    with pytest.raises(ParameterError):
+        cls.zeros(2, -1)
+
+
+@pytest.mark.parametrize("cls", MATRIX_CLASSES)
+def test_shared_operations_return_the_callers_class(cls):
+    m = FROM_CODES[cls](np.random.default_rng(11).integers(0, cls.top + 1, (3, 3)))
+    results = [
+        m + m, m ^ m, m @ m, m.kron(m), m.tensor_sum(m),
+        m.transpose(), m.adjoint(), m.copy(), m.rref()[0],
+    ]
+    assert [type(r) for r in results] == [cls] * len(results)
+    assert cls.__slots__ == () and not hasattr(m, "__dict__")
+
+
+def test_fields_never_compare_equal():
+    codes = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    bits, gf4 = BitMatrix(codes.copy()), Gf4Matrix(codes.copy())
+    assert bits != gf4 and gf4 != bits
+    assert len({bits, gf4}) == 2
+
+
+@pytest.mark.parametrize("cls", MATRIX_CLASSES)
+def test_kron_and_tensor_sum_are_numpy_kron_on_zero_one_codes(cls):
+    rng = np.random.default_rng(12)
+    a, b = rng.integers(0, 2, (3, 3), dtype=np.uint8), rng.integers(0, 2, (2, 2), dtype=np.uint8)
+    got = cls(a.copy()).kron(cls(b.copy())).to_codes()
+    assert np.array_equal(got, np.kron(a, b))
+    total = cls(a.copy()).tensor_sum(cls(b.copy())).to_codes()
+    eye2, eye3 = np.eye(2, dtype=np.uint8), np.eye(3, dtype=np.uint8)
+    assert np.array_equal(total, np.kron(a, eye2) ^ np.kron(eye3, b))
 
 
 def test_from_codes_validates_its_input():
@@ -320,24 +363,27 @@ def test_constructor_takes_uint8_codes_only():
     assert len({wide, narrow}) == 1
 
 
-def test_matrix_shares_no_storage_with_callers():
-    codes = np.array([[0, 1], [2, 3]], dtype=np.uint8)
-    m = Gf4Matrix.from_codes(codes)
-    codes[0, 0] = 3
+@pytest.mark.parametrize("cls", MATRIX_CLASSES)
+def test_matrix_shares_no_storage_with_callers(cls):
+    codes = np.array([[0, 1], [cls.top, 1]], dtype=np.uint8)
+    m = FROM_CODES[cls](codes)
+    codes[0, 0] = 1
     m.to_codes()[1, 1] = 0
-    assert np.array_equal(m.to_codes(), [[0, 1], [2, 3]])
+    assert np.array_equal(m.to_codes(), [[0, 1], [cls.top, 1]])
     t = m.transpose()
     t.set(0, 1, 0)
-    assert m.get(1, 0) == OMEGA
+    m.copy().set(1, 0, 0)
+    assert m.to_codes()[1, 0] == cls.top
 
 
+@pytest.mark.parametrize("cls", MATRIX_CLASSES)
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
-def test_empty_shapes(rows, cols):
-    m = Gf4Matrix.zeros(rows, cols)
+def test_empty_shapes(cls, rows, cols):
+    m = cls.zeros(rows, cols)
     assert (m.rows, m.cols) == (rows, cols)
-    assert (m @ Gf4Matrix.zeros(cols, 2)).to_codes().shape == (rows, 2)
-    assert (Gf4Matrix.zeros(2, rows) @ m) == Gf4Matrix.zeros(2, cols)
-    k = m.kron(Gf4Matrix.identity(2))
+    assert (m @ cls.zeros(cols, 2)).to_codes().shape == (rows, 2)
+    assert (cls.zeros(2, rows) @ m) == cls.zeros(2, cols)
+    k = m.kron(cls.identity(2))
     assert (k.rows, k.cols) == (2 * rows, 2 * cols)
     assert m.max_row_weight() == 0
     assert m.max_column_weight() == 0
@@ -357,24 +403,23 @@ def test_rank_matches_gf2_doubling_oracle():
 def test_row_space_is_canonical_and_spans():
     rng = np.random.default_rng(7)
     codes = random_codes(rng, 5, 6)
-    m = Gf4Matrix.from_codes(codes)
-    basis = gf4_row_space(m)
-    assert basis.shape[0] == gf4_rank(m)
+    reduced, pivots = rref_codes(codes)
+    basis = reduced[: len(pivots)]
+    assert basis.shape[0] == gf4_rank(Gf4Matrix.from_codes(codes))
     # same span: stacking either way does not grow the rank
     assert doubled_gf2_rank(np.vstack([basis, codes])) == basis.shape[0]
     # scaling a row leaves the canonical basis unchanged
     scaled = codes.copy()
     scaled[2] = MUL[2, scaled[2]]
-    assert np.array_equal(gf4_row_space(Gf4Matrix.from_codes(scaled)), basis)
+    assert np.array_equal(rref_codes(scaled)[0][: len(pivots)], basis)
 
 
 def test_kernel_annihilates_and_has_right_dimension():
     rng = np.random.default_rng(8)
     for rows, cols in [(4, 6), (6, 4), (5, 5)]:
         codes = random_codes(rng, rows, cols)
-        m = Gf4Matrix.from_codes(codes)
-        ker = gf4_kernel(m)
-        assert ker.shape[0] == cols - gf4_rank(m)
+        ker = null_basis(*rref_codes(codes))
+        assert ker.shape[0] == cols - gf4_rank(Gf4Matrix.from_codes(codes))
         assert doubled_gf2_rank(ker) == ker.shape[0]
         for v in ker:
             assert not naive_matmul(codes, v[:, None]).any()
@@ -391,26 +436,28 @@ def test_image_spans_the_column_space():
 # -- hermitian products -----------------------------------------------------------
 
 
+# The Hermitian products (f, g) of rows f of F and g of G are the Gram product
+# conj(F) G^T, the one `is_self_orthogonal` forms with linalg's `matmul_codes`.
+
+
 def test_hermitian_inner_fixed_values():
-    assert hermitian_inner("w", "w") == ONE
-    assert hermitian_inner("0000", "01wW") == ZERO
-    a1, a2 = five_qubit_check_basis()
-    assert hermitian_inner(a1, a2) == ZERO
-    assert hermitian_inner(a1, a1) == ZERO
+    w, zeros, mixed = gf4_vector("w"), gf4_vector("0000"), gf4_vector("01wW")
+    assert matmul_codes(CONJ[w][None], w[:, None]).item() == ONE.value
+    assert matmul_codes(CONJ[zeros][None], mixed[:, None]).item() == ZERO.value
+    checks = np.array(five_qubit_check_basis())
+    assert not matmul_codes(CONJ[checks], checks.T).any()
     with pytest.raises(DimensionError):
-        hermitian_inner("01", "0")
+        is_self_orthogonal(["01", "0"])
 
 
 def test_hermitian_inner_matches_naive_and_is_sesquilinear():
     rng = np.random.default_rng(10)
-    for _ in range(30):
-        f = rng.integers(0, 4, size=8, dtype=np.uint8)
-        g = rng.integers(0, 4, size=8, dtype=np.uint8)
-        h = rng.integers(0, 4, size=8, dtype=np.uint8)
-        assert hermitian_inner(f, g).value == naive_inner(f, g)
-        assert hermitian_inner(f, ADD[g, h]) == hermitian_inner(f, g) + hermitian_inner(f, h)
-        assert hermitian_inner(MUL[2, f], g) == OMEGA.conjugate() * hermitian_inner(f, g)
-        assert hermitian_inner(f, g) == hermitian_inner(g, f).conjugate()
+    f, g, h = (rng.integers(0, 4, size=(30, 8), dtype=np.uint8) for _ in range(3))
+    fg = matmul_codes(CONJ[f], g.T)
+    assert fg.tolist() == [[naive_inner(x, y) for y in g] for x in f]
+    assert np.array_equal(matmul_codes(CONJ[f], ADD[g, h].T), ADD[fg, matmul_codes(CONJ[f], h.T)])
+    assert np.array_equal(matmul_codes(CONJ[MUL[2, f]], g.T), MUL[CONJ[2], fg])
+    assert np.array_equal(fg, CONJ[matmul_codes(CONJ[g], f.T).T])
 
 
 def test_self_orthogonality_of_fixed_bases():
@@ -442,9 +489,8 @@ def test_five_qubit_boundary_shape_and_parameters():
     assert d.delta.max_column_weight() <= 4
     # image equals the span of the checks, canonically
     checks = np.array(five_qubit_check_basis())
-    assert np.array_equal(
-        gf4_image(d.delta), gf4_row_space(Gf4Matrix.from_codes(checks))
-    )
+    reduced, pivots = rref_codes(checks)
+    assert np.array_equal(gf4_image(d.delta), reduced[: len(pivots)])
 
 
 def test_boundary_operator_invariants():

@@ -120,3 +120,45 @@ def test_private_import_scan_finds_package_names_only():
         "._helpers",
         "homprod.gf2._word_count",
     ]
+
+
+# The matrix methods both fields share live once, in linalg's CodeMatrix.
+SHARED_MATRIX_METHODS = {
+    "__eq__", "__hash__", "__add__", "__xor__", "__matmul__", "transpose", "kron", "is_zero",
+    "row_weight", "max_row_weight", "max_column_weight", "zeros", "identity", "copy",
+}
+
+
+def _class_body_names(tree: ast.AST, name: str) -> set[str]:
+    """Names that the body of class `name` defines: its functions and assigned names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names |= {n.id for t in item.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            return names
+    raise LookupError(f"no class {name}")
+
+
+@pytest.mark.parametrize("module, cls", [("gf2", "BitMatrix"), ("gf4", "Gf4Matrix")])
+def test_field_matrices_define_none_of_the_shared_methods(module, cls):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert _class_body_names(tree, cls) & SHARED_MATRIX_METHODS == set()
+
+
+def test_class_body_scan_finds_methods_and_assignments():
+    tree = ast.parse(
+        "class A:\n"
+        "    def kron(self): ...\n"
+        "    __xor__ = kron\n"
+        "    field, top = 'x', 1\n"
+        "    @classmethod\n"
+        "    def zeros(cls): ...\n"
+        "class B:\n"
+        "    def copy(self): ...\n"
+    )
+    assert _class_body_names(tree, "A") == {"kron", "__xor__", "field", "top", "zeros"}
+    assert _class_body_names(tree, "B") == {"copy"}
