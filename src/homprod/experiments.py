@@ -5,6 +5,11 @@ exactly when every expected value in the compiled-in MANIFEST entry
 matched; a failing report carries the manifest's self-contained claim
 description so the violated claim is named without external context.
 
+The three sweeps run on one runner, `_sweep`.  Each entry gives it a
+population of labelled products and a judge of its distance claim; the
+runner reads each product's n, k and stabilizer weight, checks them against
+the manifest entry, and collects the per-pair rows and the violations.
+
 Randomized experiments default to seed 1105.  Rerunning any experiment
 with the seed recorded in its report reproduces the report bit-exactly
 apart from `wall_time`.
@@ -13,7 +18,7 @@ apart from `wall_time`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from .complexes import BoundaryOperator, is_good, random_boundary
 from .css import (
     boundary_from_checks,
     code_from_complex,
-    stabilizer_weight,
+    stabilizer_weight_of,
     steane_check_basis,
 )
 from .distance import distance, distance_upper_bound, kernel_minimum
@@ -135,16 +140,37 @@ def steane_css_params() -> ExperimentReport:
 
 def _invertible_3x3() -> list[tuple[int, BitMatrix]]:
     """All invertible 3x3 GF(2) matrices, ordered by row-major bit encoding."""
-    out = []
-    for enc in range(512):
-        dense = np.array(
-            [[(enc >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)],
-            dtype=np.uint8,
-        )
-        m = BitMatrix.from_dense(dense)
-        if m.rank() == 3:
-            out.append((enc, m))
-    return out
+    bits = np.arange(512)[:, None] >> np.arange(9) & 1
+    mats = (BitMatrix(row.astype(np.uint8).reshape(3, 3)) for row in bits)
+    return [(enc, m) for enc, m in enumerate(mats) if m.rank() == 3]
+
+
+def _sweep(expect, pairs, judge) -> tuple[list, list, int]:
+    """Check each labelled product against a manifest entry.
+
+    `pairs` yields (label, p): a dict naming the pair and the product's
+    boundary operator, of either field.  `judge(label, p)` returns the
+    pair's record and whether its distance claim held; the pair's row is
+    the label followed by that record.  A pair violates the entry when its
+    claim fails, it is not an [[n, k]] code, or, where the entry has a
+    `weight_bound`, its stabilizer weight w exceeds it.  Returns the rows,
+    one violation per failing pair (its row with n, k and w), and the
+    largest w.
+    """
+    rows, violations, max_weight = [], [], 0
+    for label, p in pairs:
+        w = stabilizer_weight_of(p.matrix)
+        max_weight = max(max_weight, w)
+        record, held = judge(label, p)
+        row = {**label, **record}
+        rows.append(row)
+        if (
+            not held
+            or (p.m, p.hom_dim) != (expect["n"], expect["k"])
+            or w > expect.get("weight_bound", w)
+        ):
+            violations.append({**row, "n": p.m, "k": p.hom_dim, "w": w})
+    return rows, violations, max_weight
 
 
 def steane_squared() -> ExperimentReport:
@@ -153,30 +179,21 @@ def steane_squared() -> ExperimentReport:
     expect = MANIFEST["steane-squared"]["expect"]
     basis = steane_check_basis()
     d_v = boundary_from_checks(basis, BitMatrix.identity(3))
-    per_u = []
-    violations = []
-    max_weight = 0
-    for enc, u in _invertible_3x3():
-        d_u = boundary_from_checks(basis, u)
-        p = product(d_u, d_v).partial
-        code = code_from_complex(p)
+    pairs = (
+        ({"u": enc, "symmetric": u == u.transpose()},
+         product(boundary_from_checks(basis, u), d_v).partial)
+        for enc, u in _invertible_3x3()
+    )
+
+    def judge(label, p):
         r = distance(p)
-        d_code = min(r.d_z, r.d_x)
-        symmetric = u == u.transpose()
-        w = stabilizer_weight(code)
-        max_weight = max(max_weight, w)
-        per_u.append({"u": enc, "symmetric": symmetric, "d": d_code})
-        wanted = expect["d_symmetric"] if symmetric else expect["d_asymmetric"]
-        if (
-            code.n != expect["n"]
-            or code.k != expect["k"]
-            or w > expect["weight_bound"]
-            or d_code != wanted
-        ):
-            violations.append({"u": enc, "n": code.n, "k": code.k, "w": w, "d": d_code})
+        d = min(r.d_z, r.d_x)
+        return {"d": d}, d == expect["d_symmetric" if label["symmetric"] else "d_asymmetric"]
+
+    per_u, violations, max_weight = _sweep(expect, pairs, judge)
     results = {
         "u_total": len(per_u),
-        "symmetric_total": sum(1 for row in per_u if row["symmetric"]),
+        "symmetric_total": sum(row["symmetric"] for row in per_u),
         "max_stabilizer_weight": max_weight,
         "per_u": per_u,
         "violations": violations,
@@ -189,28 +206,19 @@ def fivequbit_squared() -> ExperimentReport:
     """Sweep the 25-qubit product over all 100 (U, V) self-adjoint pairs."""
     t0 = time.perf_counter()
     expect = MANIFEST["fivequbit-squared"]["expect"]
-    us = enumerate_selfadjoint_invertible(2)
     basis = five_qubit_check_basis()
-    factors = [gf4_boundary_from_checks(basis, u) for u in us]
-    per_pair = []
-    violations = []
-    max_weight = 0
-    for i, d1 in enumerate(factors):
-        for j, d2 in enumerate(factors):
-            p = gf4_product(d1, d2)
-            w = max(p.matrix.max_row_weight(), p.matrix.max_column_weight())
-            max_weight = max(max_weight, w)
-            r = gf4_distance(p)
-            per_pair.append({"u": i, "v": j, "d": r.d})
-            if (
-                p.m != expect["n"]
-                or p.hom_dim != expect["k"]
-                or w > expect["weight_bound"]
-                or r.d != expect["d"]
-            ):
-                violations.append(
-                    {"u": i, "v": j, "n": p.m, "k": p.hom_dim, "w": w, "d": r.d}
-                )
+    factors = [gf4_boundary_from_checks(basis, u) for u in enumerate_selfadjoint_invertible(2)]
+    pairs = (
+        ({"u": i, "v": j}, gf4_product(d1, d2))
+        for i, d1 in enumerate(factors)
+        for j, d2 in enumerate(factors)
+    )
+
+    def judge(label, p):
+        d = gf4_distance(p).d
+        return {"d": d}, d == expect["d"]
+
+    per_pair, violations, max_weight = _sweep(expect, pairs, judge)
     results = {
         "pair_total": len(per_pair),
         "max_stabilizer_weight": max_weight,
@@ -246,59 +254,42 @@ def steane_by_fivequbit(seed: int = DEFAULT_SEED) -> ExperimentReport:
     basis5 = five_qubit_check_basis()
     basis7 = steane_gf4_check_basis()
     factors5 = [gf4_boundary_from_checks(basis5, u) for u in u2s]
-    logicals5 = [Gf4Matrix.from_codes(gf4_distance(d1).witness) for d1 in factors5]
-    pairs = []
-    violations = []
-    found = 0
-    for vi in v_sample:
-        d2 = gf4_boundary_from_checks(basis7, u3s[vi])
-        logical7 = Gf4Matrix.from_codes(gf4_distance(d2).witness)
-        for ui, d1 in enumerate(factors5):
-            p = gf4_product(d1, d2)
-            witness = gf4_distance_upper_bound(p, bound)
-            upper = logicals5[ui].kron(logical7).to_codes()[0]
-            upper_weight = gf4_verify_witness(p, upper)
-            row = {
-                "u": ui,
-                "v": vi,
-                "witness_weight": None,
-                "witness": None,
-                "lower_bound": bound + 1,
-                "upper_witness": vector_symbols(upper),
-                "upper_witness_weight": upper_weight,
-            }
-            if witness is not None:
-                found += 1
-                row["witness_weight"] = gf4_weight(witness)
-                row["witness"] = vector_symbols(witness)
-                row["lower_bound"] = None
-            pairs.append(row)
-            if (
-                p.m != expect["n"]
-                or p.hom_dim != expect["k"]
-                or witness is not None
-                or upper_weight != expect["d_upper"]
-            ):
-                violations.append(
-                    {
-                        "u": ui,
-                        "v": vi,
-                        "n": p.m,
-                        "k": p.hom_dim,
-                        "witness_weight": row["witness_weight"],
-                        "upper_witness_weight": upper_weight,
-                    }
-                )
+    factors7 = {vi: gf4_boundary_from_checks(basis7, u3s[vi]) for vi in v_sample}
+    # each factor's lightest logical, keyed by its boundary
+    logical = {
+        d: Gf4Matrix.from_codes(gf4_distance(d).witness) for d in [*factors5, *factors7.values()]
+    }
+    pairs = (
+        ({"u": ui, "v": vi}, gf4_product(d1, d2))
+        for vi, d2 in factors7.items()
+        for ui, d1 in enumerate(factors5)
+    )
+
+    def judge(label, p):
+        witness = gf4_distance_upper_bound(p, bound)
+        upper = logical[factors5[label["u"]]].kron(logical[factors7[label["v"]]]).to_codes()[0]
+        upper_weight = gf4_verify_witness(p, upper)
+        found = witness is not None
+        record = {
+            "witness_weight": gf4_weight(witness) if found else None,
+            "witness": vector_symbols(witness) if found else None,
+            "lower_bound": None if found else bound + 1,
+            "upper_witness": vector_symbols(upper),
+            "upper_witness_weight": upper_weight,
+        }
+        return record, not found and upper_weight == expect["d_upper"]
+
+    rows, violations, _ = _sweep(expect, pairs, judge)
     results = {
         "bound": bound,
         "d_upper": expect["d_upper"],
-        "pair_total": len(pairs),
-        "witnesses_found": found,
+        "pair_total": len(rows),
+        "witnesses_found": sum(row["witness"] is not None for row in rows),
         "v_sample": v_sample,
-        "pairs": pairs,
+        "pairs": rows,
         "violations": violations,
     }
-    passed = bool(pairs) and not violations
+    passed = bool(rows) and not violations
     return _report(
         "steane-by-fivequbit", {"pair_cap": _MIXED_PAIR_CAP}, results, passed, seed, t0
     )
@@ -331,13 +322,8 @@ class MonteCarloParams:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "h": self.h,
-            "m_prime": self.m_prime,
-            "c": self.c,
-            "samples": self.samples,
-        }
+        """The plan without its seed, which the report records on its own."""
+        return {k: v for k, v in asdict(self).items() if k != "seed"}
 
 
 def _d_z(d: BoundaryOperator) -> int:

@@ -106,7 +106,11 @@ class Gf4Matrix(CodeMatrix):
 
     @classmethod
     def from_codes(cls, codes) -> "Gf4Matrix":
-        return cls(np.atleast_2d(np.array(codes, dtype=np.uint8)))
+        """A new matrix of `codes`, integers 0..3 of any dtype; a code the cast changes raises."""
+        given = np.atleast_2d(np.asarray(codes))
+        if not np.array_equal(cast := given.astype(np.uint8), given):
+            raise ParameterError("GF(4) codes must be integers 0..3")
+        return cls(cast)
 
     @classmethod
     def from_symbol_rows(cls, lines) -> "Gf4Matrix":

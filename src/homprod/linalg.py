@@ -172,7 +172,9 @@ class CodeMatrix:
     code, 1 for GF(2) and 3 for GF(4).  On 0/1 codes `adjoint` is the
     transpose and `kron` is `np.kron`, so every method here serves both
     fields, and each result has the class of the matrix it came from.
-    The constructor keeps the array it is given; `to_codes` copies.
+    `+`, `^`, `@` and `kron` take an operand of the same class only, so the
+    fields never mix.  The constructor keeps the array it is given;
+    `to_codes` copies.
     """
 
     __slots__ = ("codes",)
@@ -219,6 +221,8 @@ class CodeMatrix:
         return hash((self.codes.shape, self.codes.tobytes()))
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.codes.shape != other.codes.shape:
             raise DimensionError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
@@ -228,6 +232,8 @@ class CodeMatrix:
     __xor__ = __add__
 
     def __matmul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -242,6 +248,8 @@ class CodeMatrix:
         return type(self)(CONJ[self.codes.T])
 
     def kron(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot kron {type(self).__name__} with {type(other).__name__}")
         prod = MUL[self.codes[:, None, :, None], other.codes[None, :, None, :]]
         return type(self)(prod.reshape(self.rows * other.rows, self.cols * other.cols))
 

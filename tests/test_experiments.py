@@ -4,13 +4,16 @@ The heavy sweep experiments run once in the acceptance suite; here the
 orchestration around them is exercised with stubs and small instances.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from homprod import BudgetError, ParameterError
 from homprod.complexes import BoundaryOperator, random_boundary
+from homprod.css import boundary_from_checks, stabilizer_weight_of, steane_check_basis
 from homprod.distance import kernel_minimum
 from homprod.experiments import (
     DEFAULT_SEED,
@@ -18,11 +21,20 @@ from homprod.experiments import (
     ExperimentReport,
     MonteCarloParams,
     _invertible_3x3,
+    fivequbit_squared,
     montecarlo,
     steane_by_fivequbit,
     steane_css_params,
+    steane_squared,
 )
 from homprod.gf2 import BitMatrix
+from homprod.gf4 import (
+    enumerate_selfadjoint_invertible,
+    five_qubit_check_basis,
+    gf4_boundary_from_checks,
+    gf4_product,
+)
+from homprod.product import product
 
 
 def dense_rank(mat: np.ndarray) -> int:
@@ -200,6 +212,77 @@ def test_mixed_experiment_orchestration(monkeypatch):
     assert first["witness_weight"] == 3 and first["witness"] == "10w0W"
     assert first["lower_bound"] is None
     assert len(r3.results["violations"]) == 200
+
+
+def _steane_square_weights(encs) -> list[int]:
+    """Stabilizer weights of the products that `steane_squared` forms for these U."""
+    basis, us = steane_check_basis(), dict(_invertible_3x3())
+    d_v = boundary_from_checks(basis, BitMatrix.identity(3))
+    products = (product(boundary_from_checks(basis, us[enc]), d_v).partial for enc in encs)
+    return [stabilizer_weight_of(p.matrix) for p in products]
+
+
+def test_steane_squared_names_pairs_over_the_weight_bound(monkeypatch):
+    monkeypatch.setitem(MANIFEST["steane-squared"]["expect"], "weight_bound", 7)
+    r = steane_squared()
+    assert not r.passed and r.results["max_stabilizer_weight"] == 8
+    d_of = {row["u"]: row["d"] for row in r.results["per_u"]}
+    violations = r.results["violations"]
+    weights = _steane_square_weights(v["u"] for v in violations)
+    assert violations and set(weights) == {8}
+    for v, w in zip(violations, weights):
+        assert (v["n"], v["k"], v["w"], v["d"]) == (49, 1, w, d_of[v["u"]])
+
+
+def test_steane_squared_names_pairs_off_the_distance_claim(monkeypatch):
+    monkeypatch.setitem(MANIFEST["steane-squared"]["expect"], "d_asymmetric", 8)
+    r = steane_squared()
+    assert not r.passed
+    asymmetric = [row["u"] for row in r.results["per_u"] if not row["symmetric"]]
+    assert [v["u"] for v in r.results["violations"]] == asymmetric
+    assert len(asymmetric) == 140
+    weights = _steane_square_weights(asymmetric)
+    for v, w in zip(r.results["violations"], weights):
+        assert (v["n"], v["k"], v["w"], v["d"]) == (49, 1, w, 9)
+
+
+def test_fivequbit_squared_names_pairs_off_the_distance_claim(monkeypatch):
+    monkeypatch.setitem(MANIFEST["fivequbit-squared"]["expect"], "d", 4)
+    r = fivequbit_squared()
+    assert not r.passed
+    violations = r.results["violations"]
+    assert [(v["u"], v["v"]) for v in violations] == [(i, j) for i in range(10) for j in range(10)]
+    us = enumerate_selfadjoint_invertible(2)
+    basis = five_qubit_check_basis()
+    for v in violations[::11]:
+        p = gf4_product(gf4_boundary_from_checks(basis, us[v["u"]]),
+                        gf4_boundary_from_checks(basis, us[v["v"]]))
+        w = stabilizer_weight_of(p.matrix)
+        assert (v["n"], v["k"], v["w"], v["d"]) == (25, 1, w, 5)
+
+
+# sha256 of json.dumps(deterministic_view(), sort_keys=True), recorded when the
+# three sweeps moved onto one runner; a change to a recorded view must update these.
+PINNED_VIEWS = {
+    "steane-squared": "e716177de6784b5bef1e0e6a9f7688761a16d2e7f95cf9f52cb390cdb1c3448d",
+    "fivequbit-squared": "accd533156202ce11e8ff3ee5b3e6674dfc7af1d25f5f28794415a42bdec197c",
+    "steane-by-fivequbit cap 20 seed 4":
+        "05a9ad17add4c02d040e6be63b4a747701b531bc5c6dc508377d75454989a216",
+}
+
+
+def test_reproduce_views_are_pinned(monkeypatch):
+    def digest(report):
+        view = json.dumps(report.deterministic_view(), sort_keys=True)
+        return hashlib.sha256(view.encode()).hexdigest()
+
+    monkeypatch.setattr("homprod.experiments._MIXED_PAIR_CAP", 20)
+    got = {
+        "steane-squared": digest(steane_squared()),
+        "fivequbit-squared": digest(fivequbit_squared()),
+        "steane-by-fivequbit cap 20 seed 4": digest(steane_by_fivequbit(seed=4)),
+    }
+    assert got == PINNED_VIEWS
 
 
 def test_default_seed_is_stable():

@@ -7,6 +7,7 @@ of small kernels for distances.
 """
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -335,6 +336,17 @@ def test_fields_never_compare_equal():
     assert len({bits, gf4}) == 2
 
 
+@pytest.mark.parametrize("codes", [[[1, 0], [1, 1]], [[1, 2], [3, 1]]])
+def test_fields_never_mix_in_arithmetic(codes):
+    codes = np.array(codes, dtype=np.uint8)
+    gf4 = Gf4Matrix(codes.copy())
+    bits = BitMatrix(codes & 1)
+    for a, b in ((bits, gf4), (gf4, bits)):
+        for op in (operator.add, operator.xor, operator.matmul, type(a).kron):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
 @pytest.mark.parametrize("cls", MATRIX_CLASSES)
 def test_kron_and_tensor_sum_are_numpy_kron_on_zero_one_codes(cls):
     rng = np.random.default_rng(12)
@@ -349,8 +361,9 @@ def test_kron_and_tensor_sum_are_numpy_kron_on_zero_one_codes(cls):
 def test_from_codes_validates_its_input():
     with pytest.raises(DimensionError):
         Gf4Matrix.from_codes(np.zeros((2, 2, 2), dtype=np.uint8))
-    with pytest.raises(ParameterError):
-        Gf4Matrix.from_codes([[0, 4]])
+    for bad in ([[0, 4]], np.array([[256, 1]]), [[-1, 1]], [[1.5, 1]]):
+        with pytest.raises(ParameterError):
+            Gf4Matrix.from_codes(bad)
 
 
 def test_constructor_takes_uint8_codes_only():
