@@ -261,8 +261,8 @@ def test_fivequbit_squared_names_pairs_off_the_distance_claim(monkeypatch):
         assert (v["n"], v["k"], v["w"], v["d"]) == (25, 1, w, 5)
 
 
-# sha256 of json.dumps(deterministic_view(), sort_keys=True), recorded when the
-# three sweeps moved onto one runner; a change to a recorded view must update these.
+# sha256 of json.dumps(deterministic_view(), sort_keys=True).  A change that alters
+# a recorded view must update its constant and say why in CHANGES.md.
 PINNED_VIEWS = {
     "steane-squared": "e716177de6784b5bef1e0e6a9f7688761a16d2e7f95cf9f52cb390cdb1c3448d",
     "fivequbit-squared": "accd533156202ce11e8ff3ee5b3e6674dfc7af1d25f5f28794415a42bdec197c",
