@@ -52,6 +52,19 @@ class Cnot:
             raise ParameterError("control and target must differ")
 
 
+def check_partner(init: tuple[QubitInit, ...], q: int) -> None:
+    """Raise ParameterError unless qubit q's EPR partner, if it has one, is
+    another qubit of `init` whose tag pairs with q's and names q back."""
+    tag, p = init[q].tag, init[q].partner
+    if p is None:
+        return
+    if not 0 <= p < len(init) or p == q:
+        raise ParameterError(f"qubit {q}: partner {p} out of range")
+    expected = "epr_b" if tag == "epr_a" else "epr_a"
+    if init[p].tag != expected or init[p].partner != q:
+        raise ParameterError(f"qubit {q}: EPR partner mismatch")
+
+
 @dataclass(frozen=True)
 class EncodingCircuit:
     """Grid of initialized qubits followed by an ordered CNOT list."""
@@ -63,16 +76,8 @@ class EncodingCircuit:
     def __post_init__(self):
         if len(self.init) != self.n_qubits:
             raise DimensionError("need exactly one init tag per qubit")
-        for q, tag in enumerate(self.init):
-            if tag.partner is None:
-                continue
-            p = tag.partner
-            if not 0 <= p < self.n_qubits or p == q:
-                raise ParameterError(f"qubit {q}: partner {p} out of range")
-            other = self.init[p]
-            expected = "epr_b" if tag.tag == "epr_a" else "epr_a"
-            if other.tag != expected or other.partner != q:
-                raise ParameterError(f"qubit {q}: EPR partner mismatch")
+        for q in range(self.n_qubits):
+            check_partner(self.init, q)
         for g in self.gates:
             if not (0 <= g.control < self.n_qubits and 0 <= g.target < self.n_qubits):
                 raise DimensionError("gate touches a qubit outside the circuit")

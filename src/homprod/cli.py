@@ -255,16 +255,12 @@ def _cmd_reproduce(args) -> int:
     human = f"{report.name}: {verdict} ({report.wall_time:.1f}s)"
     if not report.passed:
         human += f"\nviolated claim: {description}"
-        if args.name == "steane-by-fivequbit":
-            broken = report.results["violations"]
-            total = report.results["pair_total"]
+        broken = report.results.get("violations")
+        if broken:
+            total = report.results.get("pair_total", report.results.get("u_total"))
             human += f"\n{len(broken)} of {total} pairs break it:"
             for row in broken:
-                human += (
-                    f"\n  u={row['u']} v={row['v']}: n={row['n']} k={row['k']} "
-                    f"light witness weight={row['witness_weight']} "
-                    f"upper witness weight={row['upper_witness_weight']}"
-                )
+                human += "\n  " + " ".join(f"{key}={value}" for key, value in row.items())
     _emit(args, report.to_dict(), human)
     return 0 if report.passed else 1
 

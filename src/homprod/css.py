@@ -63,20 +63,12 @@ def stabilizer_weight(c: CssCode) -> int:
 def boundary_from_checks(basis: Basis, u: BitMatrix) -> BoundaryOperator:
     """Boundary operator delta = sum_{i,j} u[i,j] a_i a_j^T for check rows a_i.
 
-    The rows of `basis` must span a self-orthogonal space (every pair of
-    rows orthogonal, every row orthogonal to itself); then delta squares to
-    zero because the Gram matrix vanishes, and its image and coimage both
-    equal the spanned space for every invertible u.
+    `BoundaryOperator.from_checks` on the rows of `basis`: they must be
+    independent and span a self-orthogonal space, and u must be invertible;
+    then delta squares to zero, and its image and coimage both equal the
+    spanned space.
     """
-    m = basis.dim
-    if u.rows != m or u.cols != m:
-        raise DimensionError(f"change of basis must be {m}x{m}")
-    a = basis.matrix.transpose()  # n x m, columns are the basis vectors
-    if not (basis.matrix @ a).is_zero():
-        raise PreconditionError("check basis is not self-orthogonal")
-    if u.rank() != m:
-        raise PreconditionError("change of basis matrix is singular")
-    return BoundaryOperator(a @ u @ basis.matrix)
+    return BoundaryOperator.from_checks(basis.matrix, u)
 
 
 def steane_check_basis() -> Basis:

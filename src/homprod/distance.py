@@ -17,8 +17,8 @@ import numpy as np
 
 from .complexes import BoundaryOperator
 from .errors import DimensionError
-from .gf2 import rref_row_space, vector_from_bits, vector_to_bits, vector_weight, zero_vector
-from .search import DEFAULT_BUDGET, boundary_cycle, check_witness, min_cycle
+from .gf2 import vector_from_bits, vector_to_bits, vector_weight, zero_vector
+from .search import DEFAULT_BUDGET, boundary_cycle, min_cycle, verify_cycle
 
 
 @dataclass
@@ -93,12 +93,10 @@ def kernel_minimum(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> int:
 def verify_witness(d: BoundaryOperator, witness: np.ndarray) -> int:
     """Weight of `witness` after checking that it lies in ker(d) \\ im(d).
 
-    Raises WitnessError when d * witness is nonzero or the witness is in the
-    image, so a returned weight is an upper bound on d_z.
+    `verify_cycle` on the witness's bits: raises WitnessError when d * witness
+    is nonzero or the witness is in the image, so a returned weight is an
+    upper bound on d_z.
     """
     if witness.shape != zero_vector(d.m).shape:
         raise DimensionError(f"witness has {witness.size} words, operator has m={d.m}")
-    weight = vector_weight(witness)
-    image = rref_row_space(*d.adjoint_reduction).matrix.codes
-    check_witness(d.matrix.codes, vector_to_bits(witness, d.m), weight, image)
-    return weight
+    return verify_cycle(d, vector_to_bits(witness, d.m))

@@ -15,34 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import CodeMatrix, null_basis, residue, rref_codes
+from .linalg import CodeMatrix, null_basis, pack_codes, residue, rref_codes, unpack_codes
 
 WORD_BITS = 64
 
 
 def _word_count(cols: int) -> int:
     return max(1, (cols + WORD_BITS - 1) // WORD_BITS)
-
-
-def pack_rows(dense: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cols) 0/1 array into (rows, words) uint64."""
-    dense = np.asarray(dense, dtype=np.uint8) & 1
-    if dense.ndim != 2:
-        raise DimensionError("expected a two dimensional array")
-    rows, cols = dense.shape
-    words = _word_count(cols)
-    padded = np.zeros((rows, words * WORD_BITS), dtype=np.uint8)
-    padded[:, :cols] = dense
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64).reshape(rows, words)
-
-
-def unpack_rows(data: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of pack_rows, returning a (rows, cols) uint8 array."""
-    rows = data.shape[0]
-    as_bytes = np.ascontiguousarray(data).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :cols].reshape(rows, cols)
 
 
 class BitMatrix(CodeMatrix):
@@ -58,7 +37,7 @@ class BitMatrix(CodeMatrix):
     @property
     def data(self) -> np.ndarray:
         """The rows as packed vectors, shape (rows, ceil(cols / 64)), a new array."""
-        return pack_rows(self.codes)
+        return pack_codes(self.codes, 1, _word_count(self.cols))
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
@@ -89,19 +68,21 @@ def zero_vector(n: int) -> np.ndarray:
 
 
 def vector_from_bits(bits) -> np.ndarray:
-    return pack_rows(np.atleast_2d(np.asarray(bits, dtype=np.uint8)))[0]
+    bits = np.asarray(bits, dtype=np.uint8)
+    return pack_codes(bits, 1, _word_count(len(bits)))
+
 
 def vector_from_support(n: int, support) -> np.ndarray:
-    v = zero_vector(n)
+    bits = np.zeros(n, dtype=np.uint8)
     for j in support:
         if not 0 <= j < n:
             raise ParameterError(f"support index {j} outside [0, {n})")
-        v[j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
-    return v
+        bits[j] ^= 1
+    return vector_from_bits(bits)
 
 
 def vector_to_bits(v: np.ndarray, n: int) -> np.ndarray:
-    return unpack_rows(v.reshape(1, -1), n)[0]
+    return unpack_codes(v, 1, n)
 
 
 def vector_weight(v: np.ndarray) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetError, DimensionError, ParameterError, PreconditionError
 from .linalg import CONJ, INV, MUL, Boundary, CodeMatrix, adjoint_image, matmul_codes, rref_codes
-from .search import DEFAULT_BUDGET, boundary_cycle, check_witness
+from .search import DEFAULT_BUDGET, boundary_cycle, verify_cycle
 
 SYMBOLS = "01wW"
 
@@ -184,32 +184,18 @@ def is_self_orthogonal(basis) -> bool:
 def gf4_boundary_from_checks(basis, u: Gf4Matrix, ambient_dim: int | None = None) -> Gf4Boundary:
     """Boundary operator sum_ij u_ij a^i conj(a^j)^T from self-orthogonal checks.
 
-    The check vectors must be linearly independent and span a self-orthogonal
-    space, and `u` must be invertible and self-adjoint; the image of the
-    result is then exactly the span of the checks.
+    `Gf4Boundary.from_checks` on the check vectors, of length `ambient_dim`
+    when it is given: they must be linearly independent and span a
+    self-orthogonal space, and `u` must be invertible and self-adjoint; the
+    image of the result is then exactly the span of the checks.
     """
     vecs = [gf4_vector(v) for v in basis]
-    m = len(vecs)
-    if m == 0:
-        n = 0 if ambient_dim is None else ambient_dim
-        return Gf4Boundary(Gf4Matrix.zeros(n, n))
-    n = vecs[0].size
-    if any(v.size != n for v in vecs):
-        raise DimensionError("check vectors must share one length")
-    if ambient_dim is not None and ambient_dim != n:
-        raise DimensionError(f"ambient_dim {ambient_dim} does not match vectors of length {n}")
-    if (u.rows, u.cols) != (m, m):
-        raise DimensionError(f"u must be {m}x{m} for {m} checks, got {u.rows}x{u.cols}")
-    if not is_self_orthogonal(vecs):
-        raise PreconditionError("check vectors do not span a self-orthogonal space")
-    if not (u.adjoint() == u):
-        raise PreconditionError("u is not self-adjoint")
-    if u.rank() != m:
-        raise PreconditionError("u is singular")
-    a = Gf4Matrix.from_codes(np.array(vecs).T)
-    if a.rank() != m:
-        raise PreconditionError("check vectors are not linearly independent")
-    return Gf4Boundary(a @ u @ a.adjoint())
+    if ambient_dim is None:
+        ambient_dim = vecs[0].size if vecs else 0
+    if any(v.size != ambient_dim for v in vecs):
+        raise DimensionError(f"check vectors must all have length {ambient_dim}")
+    checks = Gf4Matrix(np.array(vecs, dtype=np.uint8).reshape(len(vecs), ambient_dim))
+    return Gf4Boundary.from_checks(checks, u)
 
 
 def enumerate_selfadjoint_invertible(m: int) -> list[Gf4Matrix]:
@@ -280,16 +266,11 @@ class Gf4DistanceResult:
 def gf4_verify_witness(d: Gf4Boundary, witness) -> int:
     """Weight of `witness` after checking that it lies in ker(delta) \\ im(delta).
 
-    Raises WitnessError when delta * witness is nonzero or the witness is
-    in the image, so a returned weight is an upper bound on the distance.
+    `verify_cycle` on the witness's codes: raises WitnessError when
+    delta * witness is nonzero or the witness is in the image, so a
+    returned weight is an upper bound on the distance.
     """
-    v = gf4_vector(witness)
-    if v.size != d.m:
-        raise DimensionError(f"witness has length {v.size}, operator has m={d.m}")
-    weight = gf4_weight(v)
-    reduced, pivots = d.adjoint_reduction
-    check_witness(d.matrix.codes, v, weight, adjoint_image(reduced.codes, pivots))
-    return weight
+    return verify_cycle(d, gf4_vector(witness))
 
 
 def gf4_distance(

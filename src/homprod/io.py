@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import VALID_TAGS, Cnot, EncodingCircuit, QubitInit
+from .circuits import Cnot, EncodingCircuit, QubitInit, check_partner
 from .complexes import BoundaryOperator
 from .css import CssCode, stabilizer_weight_of
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .gf2 import BitMatrix
 from .gf4 import SYMBOLS, Gf4Matrix
 
@@ -194,6 +194,14 @@ def serialize_circuit(c: EncodingCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _at(line: int, build, *args):
+    """`build(*args)`, with a ParameterError it raises re-raised as a FormatError at `line`."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        raise FormatError(str(exc), line=line) from None
+
+
 def parse_circuit(text: str) -> EncodingCircuit:
     cur = _Cursor(text)
     no, header = cur.next("QUBITS header")
@@ -203,6 +211,7 @@ def parse_circuit(text: str) -> EncodingCircuit:
     n = _parse_int(parts[1], "qubit count", no)
 
     init: dict[int, QubitInit] = {}
+    lines: dict[int, int] = {}
     gates: list[Cnot] = []
     while True:
         try:
@@ -216,18 +225,12 @@ def parse_circuit(text: str) -> EncodingCircuit:
             if len(parts) not in (3, 4):
                 raise FormatError("expected 'INIT <q> <tag> [partner]'", line=no)
             q = _parse_int(parts[1], "qubit index", no)
-            tag = parts[2]
-            if tag not in VALID_TAGS:
-                raise FormatError(f"unknown init tag {tag!r}", line=no)
             partner = _parse_int(parts[3], "partner index", no) if len(parts) == 4 else None
-            needs_partner = tag in ("epr_a", "epr_b")
-            if needs_partner != (partner is not None):
-                raise FormatError("partner is required exactly for EPR tags", line=no)
             if not 0 <= q < n:
                 raise FormatError(f"qubit index {q} outside 0..{n - 1}", line=no)
             if q in init:
                 raise FormatError(f"duplicate INIT for qubit {q}", line=no)
-            init[q] = QubitInit(tag, partner)
+            init[q], lines[q] = _at(no, QubitInit, parts[2], partner), no
         elif parts[0] == "CNOT":
             if len(parts) != 3:
                 raise FormatError("expected 'CNOT <control> <target>'", line=no)
@@ -235,17 +238,14 @@ def parse_circuit(text: str) -> EncodingCircuit:
             t = _parse_int(parts[2], "target index", no)
             if not (0 <= c < n and 0 <= t < n):
                 raise FormatError(f"gate touches a qubit outside 0..{n - 1}", line=no)
-            if c == t:
-                raise FormatError("control and target must differ", line=no)
-            gates.append(Cnot(c, t))
+            gates.append(_at(no, Cnot, c, t))
         else:
             raise FormatError(f"expected INIT or CNOT, got {parts[0]!r}", line=no)
 
     missing = [q for q in range(n) if q not in init]
     if missing:
         raise FormatError(f"missing INIT for qubits {missing}", line=len(cur.lines) + 1)
-    return EncodingCircuit(
-        n_qubits=n,
-        init=tuple(init[q] for q in range(n)),
-        gates=tuple(gates),
-    )
+    inits = tuple(init[q] for q in range(n))
+    for q in range(n):
+        _at(lines[q], check_partner, inits, q)
+    return EncodingCircuit(n_qubits=n, init=inits, gates=tuple(gates))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, PreconditionError
 
 # Multiplication from the cyclic group {1, w, W}: codes 1, 2, 3 are w^0, w^1,
 # w^2 and exponents add mod 3.  Conjugation is squaring, inversion is cubing
@@ -35,6 +35,34 @@ def matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, b0, b1 = a & 1, a >> 1, b & 1, b >> 1
     low = a0 @ b0
     return (low ^ a1 @ b1) & 1 | ((low ^ (a0 ^ a1) @ (b0 ^ b1)) & 1) << 1
+
+
+# -- packed words ---------------------------------------------------------------
+
+
+def pack_codes(codes: np.ndarray, planes: int, words: int) -> np.ndarray:
+    """uint8 codes along the last axis as `planes` bit planes of `words` uint64 words each.
+
+    Plane p holds bit p of every code, coordinate j in bit j % 64 of word
+    j // 64, and the planes follow one another; pad bits are zero.  GF(2)
+    vectors are the one-plane case, which keeps bit 0 of each code.
+    """
+    lead, width, span = codes.shape[:-1], codes.shape[-1], 64 * words
+    bits = np.zeros((*lead, planes * span), dtype=np.uint8)
+    for p in range(planes):
+        # packbits sets a bit for every nonzero byte
+        np.bitwise_and(codes, 1 << p, out=bits[..., p * span : p * span + width])
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
+def unpack_codes(vecs: np.ndarray, planes: int, n: int) -> np.ndarray:
+    """The first n codes of each vector that `pack_codes` packed along the last axis of `vecs`."""
+    bits = np.unpackbits(np.ascontiguousarray(vecs).view(np.uint8), axis=-1, bitorder="little")
+    span = bits.shape[-1] // planes
+    codes = bits[..., :n]
+    for p in range(1, planes):
+        codes = codes | bits[..., p * span : p * span + n] << p
+    return codes
 
 
 # -- elimination --------------------------------------------------------------
@@ -300,6 +328,30 @@ class Boundary:
         self.rank = len(self.reduction[1])
         self.hom_dim = matrix.rows - 2 * self.rank
         self._adjoint = None
+
+    @classmethod
+    def from_checks(cls, checks: CodeMatrix, u: CodeMatrix):
+        """The boundary a u a* whose image is the span of the m rows of `checks`.
+
+        a is `checks` transposed, so the checks are its columns.  They must
+        span a self-orthogonal space, a* a = 0, which makes (a u a*)^2 vanish;
+        the subclass then validates a u a* as any matrix of its field.  Its
+        rank is m exactly when the checks are independent and u is
+        invertible, so that one rank, which the boundary computes anyway,
+        checks both.
+        """
+        m = checks.rows
+        if (u.rows, u.cols) != (m, m):
+            raise DimensionError(f"u must be {m}x{m} for {m} checks, got {u.rows}x{u.cols}")
+        a = checks.transpose()
+        adjoint = a.adjoint()
+        if not (adjoint @ a).is_zero():
+            raise PreconditionError("checks do not span a self-orthogonal space")
+        b = cls(a @ u @ adjoint)
+        if b.rank != m:
+            singular = u.rank() != m
+            raise PreconditionError("u is singular" if singular else "checks are not independent")
+        return b
 
     @property
     def m(self) -> int:

@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError, NoLogicalsError, WitnessError
+from .errors import BudgetError, DimensionError, NoLogicalsError, WitnessError
 from .linalg import (
-    CONJ, INV, MUL, Boundary, Reduction, adjoint_image, matmul_codes, null_basis, residue, rref_codes
+    CONJ, INV, MUL, Boundary, Reduction, adjoint_image, matmul_codes, null_basis, pack_codes,
+    residue, rref_codes, unpack_codes
 )
 
 # Vectors a distance search may visit, and the bytes of one enumeration table
@@ -36,16 +37,17 @@ _TABLE_BYTES = 1 << 20
 # witness check reduces the witness.
 #
 # Combinations are enumerated packed.  Each information set's generators are
-# packed once per search, with every scalar multiple: plane p of a vector
-# holds bit p of its codes, the n coordinates first and the syndrome bits
-# after them, over as many uint64 words as they need.  A combination is then
-# an XOR of packed columns, its weight the popcount of the OR of its planes
-# over the coordinate bits, and it is nontrivial when any syndrome bit is
-# set.  Only the candidates at the best weight are unpacked to codes, to be
-# scaled to a leading 1 and compared.  So one combination per class of
-# scalar multiples is enough: cached tables of s-generator combinations hold
-# the one whose highest generator has coefficient 1.  A round whose table
-# fits in _TABLE_BYTES is that table, built once and kept for the next.
+# packed once per search, with every scalar multiple, by linalg's
+# `pack_codes`: plane p of a vector holds bit p of its codes, the n
+# coordinates first and the syndrome bits after them, over as many uint64
+# words as they need.  A combination is then an XOR of packed columns, its
+# weight the popcount of the OR of its planes over the coordinate bits, and
+# it is nontrivial when any syndrome bit is set.  Only the candidates at the
+# best weight are unpacked to codes, by `unpack_codes`, to be scaled to a
+# leading 1 and compared.  So one combination per class of scalar multiples
+# is enough: cached tables of s-generator combinations hold the one whose
+# highest generator has coefficient 1.  A round whose table fits in
+# _TABLE_BYTES is that table, built once and kept for the next.
 #
 # The sets that join in the same round, max(1, k - r_j), share one
 # enumeration: their packed generators are stacked along the word axis, so
@@ -77,35 +79,6 @@ def _information_sets(gens: np.ndarray, free: list[int]):
         used = {order[p] for p in pivots[:rank]}
         free = [c for c in free if c not in used]
         yield reduced[:, np.argsort(order)], rank, len(free)
-
-
-def _pack(codes: np.ndarray, planes: int, words: int) -> np.ndarray:
-    """Codes along the last axis as `planes` bit planes of `words` uint64 words each.
-
-    Plane p holds bit p of every code, coordinate j in bit j % 64 of word
-    j // 64, and the planes follow one another.
-    """
-    lead, width = codes.shape[:-1], codes.shape[-1]
-    bits = np.zeros((*lead, planes, 64 * words), dtype=np.uint8)
-    bits[..., :width] = codes[..., None, :] >> np.arange(planes, dtype=np.uint8)[:, None] & 1
-    packed = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-    return packed.reshape(*lead, planes * words)
-
-
-def _mask(lo: int, hi: int, words: int) -> np.ndarray:
-    """One plane's words with the bits of coordinates lo..hi-1 set."""
-    bits = (1 << hi) - (1 << lo)
-    return np.array([bits >> 64 * i & (1 << 64) - 1 for i in range(words)], dtype=np.uint64)
-
-
-def _unpack(vecs: np.ndarray, planes: int, n: int) -> np.ndarray:
-    """The first n codes of each packed vector of `vecs`, shape (count, planes, words)."""
-    raw = np.ascontiguousarray(vecs, dtype="<u8").reshape(len(vecs), -1).view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little").reshape(len(raw), planes, -1)
-    codes = bits[:, 0, :n]
-    for p in range(1, planes):
-        codes = codes | bits[:, p, :n] << p
-    return codes
 
 
 def _extend(gens: np.ndarray, table):
@@ -203,7 +176,8 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, cu
         return cut, best
     w = int(weights[hit].min())
     top = hit & (weights == w)
-    cands = _unpack(block[sets[top], :, :, cols[top]], planes, n)
+    picked = block[sets[top], :, :, cols[top]]
+    cands = unpack_codes(picked.reshape(len(picked), -1), planes, n)
     if planes > 1:
         lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
         cands = MUL[INV[lead][:, None], cands]
@@ -257,7 +231,8 @@ def min_cycle(
     # Bits per code: one plane for the 0/1 scalars of GF(2), two for GF(4).
     planes = max(scalars).bit_length()
     words = -(-rows.shape[1] // 64)
-    data, syndrome = _mask(0, n, words), _mask(n, rows.shape[1], words)
+    coords = (np.arange(rows.shape[1]) < n).view(np.uint8)
+    data, syndrome = pack_codes(coords, 1, words), pack_codes(coords ^ 1, 1, words)
     extra, k = syndromes.shape[1], len(gens)
     sets, ranks, pull = _information_sets(rows, pivots), [], 1
     # members[join] lists the sets that join in that round, and groups[join]
@@ -297,7 +272,7 @@ def min_cycle(
         for join, count in todo:
             if join not in groups:
                 codes = MUL[np.array(scalars)[:, None], np.array(members[join])[:, :, None, :]]
-                stacked = np.concatenate(_pack(codes, planes, words), axis=-1)
+                stacked = np.concatenate(pack_codes(codes, planes, words), axis=-1)
                 table = np.ascontiguousarray(stacked[::-1, 0].T), list(range(k, -1, -1))
                 groups[join] = stacked, [None, table]
             stacked, tables = groups[join]
@@ -328,6 +303,20 @@ def boundary_cycle(
     if dual:
         a, pair = a.adjoint(), pair[::-1]
     return min_cycle(a.codes, tuple(pair), tuple(range(1, a.top + 1)), budget, limit)
+
+
+def verify_cycle(b: Boundary, codes: np.ndarray) -> int:
+    """Weight of the code row `codes` after `check_witness` against the matrix of `b`.
+
+    The image basis is the conjugated `b.adjoint_reduction`, so a returned
+    weight is an upper bound on the distance of either field's code.
+    """
+    if codes.shape != (b.m,):
+        raise DimensionError(f"witness has shape {codes.shape}, operator has m={b.m}")
+    weight = int(np.count_nonzero(codes))
+    reduced, pivots = b.adjoint_reduction
+    check_witness(b.matrix.codes, codes, weight, adjoint_image(reduced.codes, pivots))
+    return weight
 
 
 def check_witness(a: np.ndarray, witness: np.ndarray, weight: int, image: np.ndarray) -> None:

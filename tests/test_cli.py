@@ -10,7 +10,7 @@ from homprod.circuits import verify_encoder
 from homprod.counting import count_rank_matrices, gamma_count
 from homprod.css import CssCode, boundary_from_checks, code_from_complex, steane_check_basis
 from homprod.distance import distance
-from homprod.experiments import ExperimentReport
+from homprod.experiments import MANIFEST, ExperimentReport
 from homprod.gf2 import BitMatrix
 from homprod.gf4 import Gf4Matrix, five_qubit_check_basis, gf4_boundary_from_checks
 from homprod.io import (
@@ -175,7 +175,26 @@ def test_reproduce_mixed_names_the_pairs_that_break_the_claim(capsys, monkeypatc
     rc, out, _ = run(capsys, ["reproduce", "steane-by-fivequbit", "--seed", "3"])
     assert rc == 1 and "FAIL" in out and "violated claim" in out
     assert "20 of 20 pairs break it" in out
-    assert "u=0 v=" in out and "light witness weight=3" in out
+    assert "u=0 v=" in out and "witness_weight=3" in out
+
+
+def test_reproduce_steane_squared_names_the_pairs_that_break_the_claim(capsys, monkeypatch):
+    monkeypatch.setitem(MANIFEST["steane-squared"]["expect"], "d_asymmetric", 8)
+    rc, out, _ = run(capsys, ["reproduce", "steane-squared"])
+    assert rc == 1 and "FAIL" in out and "violated claim" in out
+    assert "140 of 168 pairs break it" in out
+    lines = [line for line in out.splitlines() if line.startswith("  u=")]
+    assert len(lines) == 140
+    assert all("symmetric=False d=9 n=49 k=1 w=" in line for line in lines)
+
+
+def test_reproduce_fivequbit_squared_names_the_pairs_that_break_the_claim(capsys, monkeypatch):
+    monkeypatch.setitem(MANIFEST["fivequbit-squared"]["expect"], "d", 4)
+    rc, out, _ = run(capsys, ["reproduce", "fivequbit-squared"])
+    assert rc == 1 and "FAIL" in out and "violated claim" in out
+    assert "100 of 100 pairs break it" in out
+    lines = [line for line in out.splitlines() if line.startswith("  u=")]
+    assert len(lines) == 100 and lines[0].startswith("  u=0 v=0 d=5 n=25 k=1 w=")
 
 
 def test_montecarlo_command(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homprod import BitMatrix, PreconditionError
+from homprod import BitMatrix, DimensionError, PreconditionError
 from homprod.complexes import canonical_boundary, random_boundary
 from homprod.css import (
     CssCode,
@@ -13,6 +13,7 @@ from homprod.css import (
     steane_check_basis,
 )
 from homprod.gf2 import Basis, image_basis, random_invertible, row_space_basis
+from homprod.gf4 import Gf4Matrix, gf4_boundary_from_checks
 
 
 def test_code_from_canonical():
@@ -59,6 +60,33 @@ def test_boundary_from_checks_rejects_bad_inputs():
     odd = Basis(BitMatrix.from_dense([[1, 1, 1]]))
     with pytest.raises(PreconditionError):
         boundary_from_checks(odd, BitMatrix.identity(1))
+
+
+# Either field's construction from 0/1 check rows and a 0/1 change of basis u.
+FROM_CHECKS = {
+    "GF(2)": lambda rows, u: boundary_from_checks(
+        Basis(BitMatrix.from_dense([[int(c) for c in r] for r in rows])), BitMatrix.from_dense(u)
+    ),
+    "GF(4)": lambda rows, u: gf4_boundary_from_checks(rows, Gf4Matrix.from_codes(u)),
+}
+STEANE_ROWS = ["1000111", "0101011", "0011101"]
+
+
+@pytest.mark.parametrize("field", FROM_CHECKS)
+def test_boundary_from_checks_rejects_bad_inputs_in_both_fields(field):
+    build = FROM_CHECKS[field]
+    assert build(STEANE_ROWS, np.eye(3, dtype=np.uint8)).hom_dim == 1
+    bad = [
+        (STEANE_ROWS, np.zeros((3, 3), dtype=np.uint8), PreconditionError),  # u singular
+        (["111"], [[1]], PreconditionError),  # not self-orthogonal
+        (["10000"], [[1]], PreconditionError),
+        (STEANE_ROWS[:2], np.eye(3, dtype=np.uint8), DimensionError),  # u of the wrong size
+        (["011", "011"], [[0, 1], [1, 0]], PreconditionError),  # dependent checks
+        (["1111000", "1111000"], np.eye(2, dtype=np.uint8), PreconditionError),
+    ]
+    for rows, u, error in bad:
+        with pytest.raises(error):
+            build(rows, u)
 
 
 def test_boundary_from_checks_empty_basis():

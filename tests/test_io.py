@@ -214,6 +214,15 @@ def test_circuit_parse_errors_cite_lines():
     with pytest.raises(FormatError) as e:
         parse_circuit("QUBITS 2\nINIT 0 data\nINIT 0 zero\n")
     assert e.value.line == 3
+    with pytest.raises(FormatError) as e:
+        parse_circuit("QUBITS 2\nINIT 0 epr_a 5\nINIT 1 zero\n")
+    assert e.value.line == 2
+    with pytest.raises(FormatError) as e:
+        parse_circuit("QUBITS 2\nINIT 0 epr_a 1\nINIT 1 zero\n")
+    assert e.value.line == 2
+    with pytest.raises(FormatError) as e:
+        parse_circuit("QUBITS 3\nINIT 0 data\nINIT 1 zero\nINIT 2 epr_a 1\n")
+    assert e.value.line == 4
     with pytest.raises(FormatError):
         parse_circuit("QUBITS 2\nINIT 0 data\n")
 
