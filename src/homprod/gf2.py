@@ -5,7 +5,8 @@ span tests are linalg's `null_basis` and `residue`.  A reduced form is
 unique for its row space, so every derived basis is deterministic; kernel
 and image bases are returned in reduced echelon form so span equality can
 be tested by direct comparison.  Vectors are packed, 64 coordinates per
-uint64 word, and `BitMatrix.data` packs a matrix's rows into such vectors.
+uint64 word, by linalg's `pack_codes` on one plane, and `BitMatrix.data`
+packs a matrix's rows into such vectors.
 """
 
 from __future__ import annotations
