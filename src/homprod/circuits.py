@@ -65,6 +65,14 @@ def check_partner(init: tuple[QubitInit, ...], q: int) -> None:
         raise ParameterError(f"qubit {q}: EPR partner mismatch")
 
 
+def check_gate(n: int, gate: Cnot) -> None:
+    """Raise DimensionError unless both qubits of `gate` lie in a circuit of n qubits."""
+    if not (0 <= gate.control < n and 0 <= gate.target < n):
+        raise DimensionError(
+            f"gate CNOT {gate.control} {gate.target} touches a qubit outside 0..{n - 1}"
+        )
+
+
 @dataclass(frozen=True)
 class EncodingCircuit:
     """Grid of initialized qubits followed by an ordered CNOT list."""
@@ -79,8 +87,7 @@ class EncodingCircuit:
         for q in range(self.n_qubits):
             check_partner(self.init, q)
         for g in self.gates:
-            if not (0 <= g.control < self.n_qubits and 0 <= g.target < self.n_qubits):
-                raise DimensionError("gate touches a qubit outside the circuit")
+            check_gate(self.n_qubits, g)
 
     def tag_counts(self) -> dict[str, int]:
         counts = {tag: 0 for tag in VALID_TAGS}

@@ -1,8 +1,11 @@
 """Exact minimum-weight search over nontrivial cycles and cocycles.
 
 d_z is the least weight over ker(d) outside im(d), and d_x the same for the
-transposed operator.  Both come from `search.boundary_cycle`, the front end
-both fields share, run on 0/1 codes with the single scalar 1.
+transposed operator.  Both come from one call of `search.boundary_cycle`,
+the front end both fields share, run on 0/1 codes with the single scalar 1:
+d and d^T share n, the kernel dimension and H, so the two sectors run as one
+enumeration, and a symmetric d, whose sectors are one problem, is searched
+once.
 
 Witnesses are the (weight, lexicographic)-least nontrivial cycles, which
 makes them independent of the order of the search.
@@ -38,14 +41,14 @@ def distance(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> DistanceResul
     """Exact d_z and d_x.
 
     d_z is the minimum weight over ker(d) minus im(d); d_x is the same for
-    the transposed operator.  Raises BudgetError before a search round
-    that would visit more than `budget` vectors.  The searches start from
-    d's stored reduction and eliminate only d^T, once for both: the x
+    the transposed operator.  Each sector counts its own vectors, and
+    BudgetError is raised before the first search round that would take
+    either past `budget`, naming the larger count.  The searches start
+    from d's stored reduction and eliminate only d^T, once for both: the x
     search gets the two reduced forms swapped.
     """
     t0 = time.perf_counter()
-    wit_z = vector_from_bits(boundary_cycle(d, budget))
-    wit_x = vector_from_bits(boundary_cycle(d, budget, dual=True))
+    wit_z, wit_x = (vector_from_bits(found) for found in boundary_cycle(d, budget, both=True))
     return DistanceResult(
         d_z=vector_weight(wit_z),
         d_x=vector_weight(wit_x),
@@ -75,7 +78,7 @@ def distance_upper_bound(
     A None return is a proof that d_z exceeds `bound`: the search stops only
     once every cycle that light has been seen.
     """
-    found = boundary_cycle(d, budget, bound)
+    (found,) = boundary_cycle(d, budget, bound)
     return None if found is None else vector_from_bits(found)
 
 
@@ -86,7 +89,7 @@ def kernel_minimum(d: BoundaryOperator, budget: int = DEFAULT_BUDGET) -> int:
     """
     reduced, pivots = d.reduction
     empty = (np.zeros((0, d.m), np.uint8), [])
-    found = min_cycle(d.matrix.codes, ((reduced.codes, pivots), empty), (1,), budget)
+    (found,) = min_cycle([(d.matrix.codes, (reduced.codes, pivots), empty)], (1,), budget)
     return int(np.count_nonzero(found))
 
 

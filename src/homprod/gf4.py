@@ -284,7 +284,7 @@ def gf4_distance(
     search runs on one thread.
     """
     t0 = time.perf_counter()
-    witness = boundary_cycle(d, budget)
+    (witness,) = boundary_cycle(d, budget)
     return Gf4DistanceResult(
         d=gf4_weight(witness),
         witness=witness,
@@ -301,4 +301,5 @@ def gf4_distance_upper_bound(
     A None return is a proof that the distance exceeds `bound`: the search
     stops only once every cycle that light has been seen.
     """
-    return boundary_cycle(d, budget, bound)
+    (found,) = boundary_cycle(d, budget, bound)
+    return found

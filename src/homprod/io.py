@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Cnot, EncodingCircuit, QubitInit, check_partner
+from .circuits import Cnot, EncodingCircuit, QubitInit, check_gate, check_partner
 from .complexes import BoundaryOperator
 from .css import CssCode, stabilizer_weight_of
-from .errors import FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError
 from .gf2 import BitMatrix
 from .gf4 import SYMBOLS, Gf4Matrix
 
@@ -195,10 +195,11 @@ def serialize_circuit(c: EncodingCircuit) -> str:
 
 
 def _at(line: int, build, *args):
-    """`build(*args)`, with a ParameterError it raises re-raised as a FormatError at `line`."""
+    """`build(*args)`, with a ParameterError or DimensionError it raises
+    re-raised as a FormatError at `line`."""
     try:
         return build(*args)
-    except ParameterError as exc:
+    except (ParameterError, DimensionError) as exc:
         raise FormatError(str(exc), line=line) from None
 
 
@@ -236,9 +237,8 @@ def parse_circuit(text: str) -> EncodingCircuit:
                 raise FormatError("expected 'CNOT <control> <target>'", line=no)
             c = _parse_int(parts[1], "control index", no)
             t = _parse_int(parts[2], "target index", no)
-            if not (0 <= c < n and 0 <= t < n):
-                raise FormatError(f"gate touches a qubit outside 0..{n - 1}", line=no)
             gates.append(_at(no, Cnot, c, t))
+            _at(no, check_gate, n, gates[-1])
         else:
             raise FormatError(f"expected INIT or CNOT, got {parts[0]!r}", line=no)
 

@@ -59,6 +59,14 @@ _TABLE_BYTES = 1 << 20
 # many as the bound still needs.  Ranks never increase from set to set, so
 # the sets before set j join no later than it, and it is not eliminated in
 # a round that they end by finishing it.
+#
+# Problems of one shape (length, kernel dimension and syndrome count), such
+# as the two sectors of a GF(2) operator, share the enumeration the same
+# way: a round's group stacks the sets of every problem that join in it,
+# while each problem keeps its own bound, cut, witness and vector count.
+# Within a group the sets are ordered by their position in their problem,
+# so when every problem runs its first c sets the rows that run are a
+# prefix; a problem's rows leave every group once its search ends.
 
 
 def _information_sets(gens: np.ndarray, free: list[int]):
@@ -93,10 +101,12 @@ def _extend(gens: np.ndarray, table):
     """
     vecs, starts = table
     k, m, size = gens.shape
-    ends = np.cumsum([m * starts[i + 1] for i in range(k - 1, -1, -1)]).tolist()
+    ends = list(itertools.accumulate(m * starts[i + 1] for i in range(k - 1, -1, -1)))
     out = np.empty((size, ends[-1]), dtype=np.uint64)
     for i, end in zip(range(k - 1, -1, -1), ends):
         w = starts[i + 1]
+        if not w:  # too few generators above i
+            continue
         block = out[:, end - m * w : end].reshape(size, m, w)
         np.bitwise_xor(vecs[:, None, :w], gens[i].T[:, :, None], out=block)
     return out, [*ends[::-1], 0]
@@ -149,16 +159,18 @@ def _round(gens: np.ndarray, t: int, tables: list):
         yield buf[:, :used]
 
 
-def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, cut: int, best):
-    """Merge a packed block into the running (weight, lex)-least nontrivial cycle.
+def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, group, problems):
+    """Merge a packed block into each problem's (weight, lex)-least nontrivial cycle.
 
-    The block stacks the rows of one or more information sets over the same
-    combinations, so it reads as (sets, planes, words, columns), and each
-    set's weight, syndrome test and candidates come from its own rows.
-    `data` and `syndrome` mask one plane's words to the n coordinates and
-    to the `extra` syndrome bits.  `cut` is the weight of `best`, or the
-    weight limit while there is none.  Each candidate is scaled so that its
-    first nonzero entry is 1.
+    The block stacks the rows of the information sets of `group` over the
+    same combinations, so it reads as (sets, planes, words, columns), and
+    each set's weight, syndrome test and candidates come from its own rows.
+    `group.owner[i]` indexes the problem in `problems` that set i belongs
+    to, and `group.lone` is the one problem that owns them all, if any.  A
+    problem's `cut` is the weight of its `best`, or the weight limit while
+    there is none.  `data` and `syndrome` mask one plane's words to the n
+    coordinates and to the `extra` syndrome bits.  Each candidate is scaled
+    so that its first nonzero entry is 1.
     """
     words, count = len(data), block.shape[1]
     block = block.reshape(-1, planes, words, count)
@@ -166,45 +178,162 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, cu
     for p in range(1, planes):
         either = either | block[:, p]
     # the syndrome bits add at most `extra` to a column's weight, so only the
-    # columns within cut + extra are read again, set by set, without them
-    total = np.add.reduce(np.bitwise_count(either), axis=1, dtype=np.int32).ravel()
-    sets, cols = np.divmod(np.flatnonzero(total <= cut + extra), count)
+    # columns within cut + extra are read again, set by set, without them;
+    # the weights sum in the narrowest dtype that holds 64 bits per word
+    ones = np.bitwise_count(either)
+    if words == 1:
+        total = ones[:, 0]
+    else:
+        total = np.add.reduce(ones, axis=1, dtype=np.uint16 if words < 1024 else np.uint32)
+    lone = group.lone
+    if lone is not None:
+        cut = problems[lone].cut
+        reach = min(cut + extra, 64 * words)
+    else:
+        cuts = np.array([problems[p].cut for p in group.owner])
+        reach = np.minimum(cuts + extra, 64 * words).astype(total.dtype)[:, None]
+    sets, cols = np.divmod(np.flatnonzero(total <= reach), count)
+    if lone is None:
+        cut = cuts[sets]
     near = either[sets, :, cols]
-    weights = np.add.reduce(np.bitwise_count(near & data), axis=1, dtype=np.int32)
+    ones = np.bitwise_count(near & data)
+    weights = ones[:, 0] if words == 1 else np.add.reduce(ones, axis=1, dtype=np.int32)
     hit = (weights <= cut) & np.logical_or.reduce(near & syndrome, axis=1)
     if not hit.any():
-        return cut, best
-    w = int(weights[hit].min())
-    top = hit & (weights == w)
-    picked = block[sets[top], :, :, cols[top]]
-    cands = unpack_codes(picked.reshape(len(picked), -1), planes, n)
-    if planes > 1:
-        lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
-        cands = MUL[INV[lead][:, None], cands]
-    cand = min(cands, key=np.ndarray.tobytes)
-    if best is None or w < cut or cand.tobytes() < best.tobytes():
-        return w, cand
-    return cut, best
+        return
+    if lone is not None:
+        offers = [(lone, hit)]
+    else:
+        owners = np.array(group.owner)[sets]
+        offers = [(p, hit & (owners == p)) for p in sorted(set(group.owner))]
+    for p, mine in offers:
+        if not mine.any():
+            continue
+        w = int(weights[mine].min())
+        top = mine & (weights == w)
+        picked = block[sets[top], :, :, cols[top]]
+        cands = unpack_codes(picked.reshape(len(picked), -1), planes, n)
+        if planes > 1:
+            lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
+            cands = MUL[INV[lead][:, None], cands]
+        problem, cand = problems[p], min(cands, key=np.ndarray.tobytes)
+        if problem.best is None or w < problem.cut or cand.tobytes() < problem.best.tobytes():
+            problem.cut, problem.best = w, cand
+
+
+class _Problem:
+    """One problem's own part of a search: its matrix and image basis for the
+    witness check, its information sets, the ranks pulled so far and the
+    round of its next pull, its sets by join round (`members`), its cut and
+    best cycle, and the vectors it has visited."""
+
+    __slots__ = ("a", "image", "sets", "ranks", "pull", "members", "cut", "best", "visited")
+
+    def __init__(self, a: np.ndarray, image: np.ndarray, sets, cut: int):
+        self.a, self.image, self.sets = a, image, sets
+        self.ranks, self.pull, self.members = [], 1, {}
+        self.cut, self.best, self.visited = cut, None, 0
+
+    def plan(self, t: int, k: int, done: dict, scalars: int) -> list | None:
+        """(join, sets it runs) for round t, in join order, or None once the search has ended.
+
+        Pulls the sets due by round t until the pulled ones end the search by
+        finishing it (each that joins by then adds one to the bound).  Every
+        set that finishes round t raises the bound by one, so only the first
+        cut + 1 - bound sets in join order run; their vectors are counted.
+        """
+        ranks, cut = self.ranks, self.cut
+        while self.pull <= t and sum(max(0, t + 1 - k + r) for r in ranks) <= cut:
+            matrix, rank, unused = next(self.sets, (None, 0, -k))
+            if matrix is not None:
+                ranks.append(rank)
+                self.members.setdefault(max(1, k - rank), []).append(matrix)
+            # the default stops pulls
+            self.pull = max(1, k - unused)
+        if (bound := sum(max(0, t - k + r) for r in ranks)) > cut:
+            return None
+        todo, need = [], cut + 1 - bound
+        for join, group in self.members.items():
+            if join <= t and need > 0:
+                todo.append((join, min(len(group), need)))
+                need -= len(group)
+        self.visited += sum(
+            count * math.comb(k, u) * scalars ** (u - 1)
+            for join, count in todo
+            for u in range(done.get(join, 0) + 1, t + 1)
+        )
+        return todo
+
+
+class _Group:
+    """The information sets of every problem that join the search in one round.
+
+    `counts[p]` is how many of problem p's sets run, its first ones, and
+    `slots` lists them as (position, problem), ordered by position so that
+    equal counts keep a prefix; `owner` is each slot's problem.  `stacked`
+    is their packed generators with every scalar multiple, stacked along
+    the word axis, and `tables` the tables built from them (tables[1] is
+    the generators with coefficient 1, lowest generator descending).
+    """
+
+    __slots__ = ("counts", "slots", "owner", "lone", "stacked", "tables")
+
+    def __init__(self, join: int, counts: list[int], problems, scalars, planes: int, words: int):
+        self._run(counts)
+        matrices = [problems[p].members[join][i] for i, p in self.slots]
+        codes = MUL[np.array(scalars)[:, None], np.array(matrices)[:, :, None, :]]
+        self.stacked = np.concatenate(pack_codes(codes, planes, words), axis=-1)
+        k = len(self.stacked)
+        self.tables = [None, (np.ascontiguousarray(self.stacked[::-1, 0].T), list(range(k, -1, -1)))]
+
+    def keep(self, counts: list[int], width: int) -> None:
+        """Keep only the rows of the first counts[p] sets of each problem p.
+
+        The sets that stop running belong to searches that end, so the
+        rows go for good: a view when they leave a prefix, else a copy.
+        """
+        old = self.slots
+        self._run(counts)
+        at = [old.index(slot) for slot in self.slots]
+        if at == list(range(len(at))):
+            rows = slice(0, len(at) * width)
+        else:
+            rows = (np.array(at)[:, None] * width + np.arange(width)).ravel()
+        self.stacked = self.stacked[..., rows]
+        self.tables[1:] = [(vecs[rows], starts) for vecs, starts in self.tables[1:]]
+
+    def _run(self, counts: list[int]) -> None:
+        self.counts = counts
+        self.slots = [(i, p) for i in range(max(counts)) for p, c in enumerate(counts) if i < c]
+        self.owner = [p for _, p in self.slots]
+        running = [p for p, c in enumerate(counts) if c]
+        self.lone = running[0] if len(running) == 1 else None
+
+
+def _null_basis(bases: dict, reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """`null_basis(reduced, pivots)`, kept in `bases` so that sectors sharing a reduced form share it."""
+    if id(reduced) not in bases:
+        bases[id(reduced)] = null_basis(reduced, pivots)
+    return bases[id(reduced)]
 
 
 def min_cycle(
-    a: np.ndarray,
-    reduced: tuple[Reduction, Reduction],
+    problems: list[tuple[np.ndarray, Reduction, Reduction]],
     scalars: tuple[int, ...],
     budget: int,
     limit: int | None = None,
-) -> np.ndarray | None:
-    """The (weight, lex)-least nontrivial cycle of weight <= limit, or None.
+) -> list[np.ndarray | None]:
+    """Each problem's (weight, lex)-least nontrivial cycle of weight <= limit, or None.
 
-    `a` is a code matrix and `reduced` holds the reduced forms and pivots
-    of a and of a*, from which the kernel basis, the syndrome basis ker(a*),
-    the first information set and the image basis for the witness check all
+    A problem is a code matrix a with the reduced forms and pivots of a and
+    of a*, from which the kernel basis, the syndrome basis ker(a*), the
+    first information set and the image basis for the witness check all
     come.  Cycles are ker(a) and trivial cycles im(a), and a cycle stands
     for its scalar multiples through the one whose first nonzero entry is 1.
     Round t enumerates, on an information set j of rank r_j, each
     combination of t generators whose highest one has coefficient 1.  The
     bound counts finished sets: once set j has finished round t_j, an
-    unseen cycle weighs at least sum_j max(0, t_j + 1 - (k - r_j)).  The
+    unseen cycle weighs at least sum_j max(0, t_j + 1 - (k - r_j)).  A
     search ends once that bound exceeds the best weight found (or `limit`,
     default the length), so every lightest cycle has been seen; a round
     runs, in join order, only as many sets as the bound still needs.  Set j
@@ -212,97 +341,100 @@ def min_cycle(
     catches up on the rounds before it, with the sets that join with it; it
     is eliminated in round max(1, k - u_{j-1}), u_{j-1} being the coordinates
     sets 1..j-1 leave unused, unless the sets that join by then already
-    fill the round's need.  Vectors visited are counted per set that runs.
-    BudgetError is raised before a round that would take that count past
-    `budget`; the witness is checked before it is returned.
+    fill the round's need.
+
+    The problems must share the length, the kernel dimension k and the
+    number of syndrome columns, as a GF(2) operator and its transpose do.
+    They run as one enumeration: the sets of every problem that join in the
+    same round are stacked in one group, and each problem keeps its own
+    bound, cut, witness and count.  Vectors visited are counted per problem,
+    per set that runs; BudgetError is raised before the first round that
+    would take any problem's count past `budget`, naming the largest such
+    count.  Each witness is checked before it is returned.
     """
-    n = a.shape[1]
-    (own, pivots), (adjoint, adjoint_pivots) = reduced
-    gens = null_basis(own, pivots)
-    image = adjoint_image(adjoint, adjoint_pivots)
-    if adjoint_pivots:
-        syndromes = matmul_codes(gens, CONJ[null_basis(adjoint, adjoint_pivots)].T)
-        syndromes = syndromes[:, rref_codes(syndromes)[1]]
-    else:  # a* = 0: every cycle is nontrivial, and gens is the identity on a's free columns
-        syndromes = np.delete(gens, pivots, axis=1)
-    if syndromes.shape[1] == 0:
-        raise NoLogicalsError("operator has no homology; distance is undefined")
-    rows = np.hstack([gens, syndromes])
+    bases, products, searches, shapes = {}, {}, [], set()
+    for a, (own, pivots), (adjoint, adjoint_pivots) in problems:
+        gens = _null_basis(bases, own, pivots)
+        if adjoint_pivots:
+            # the sectors of one operator share the product of their kernel
+            # bases: each one's is the conjugate transpose of the other's
+            swapped = products.get((id(adjoint), id(own)))
+            if swapped is None:
+                dual = _null_basis(bases, adjoint, adjoint_pivots)
+                full = matmul_codes(gens, CONJ[dual].T)
+            else:
+                full = CONJ[swapped].T
+            products[id(own), id(adjoint)] = full
+            syndromes = full[:, rref_codes(full)[1]]
+        else:  # a* = 0: every cycle is nontrivial, and gens is the identity on a's free columns
+            syndromes = np.eye(len(gens), dtype=np.uint8)
+        if syndromes.shape[1] == 0:
+            raise NoLogicalsError("operator has no homology; distance is undefined")
+        rows = np.concatenate([gens, syndromes], axis=1)
+        shapes.add((a.shape[1], len(gens), syndromes.shape[1]))
+        sets = _information_sets(rows, pivots)
+        cut = a.shape[1] if limit is None else limit
+        searches.append(_Problem(a, adjoint_image(adjoint, adjoint_pivots), sets, cut))
+    if len(shapes) != 1:
+        raise DimensionError(f"joint problems differ in (n, k, syndromes): {sorted(shapes)}")
+    ((n, k, extra),) = shapes
     # Bits per code: one plane for the 0/1 scalars of GF(2), two for GF(4).
     planes = max(scalars).bit_length()
-    words = -(-rows.shape[1] // 64)
-    coords = (np.arange(rows.shape[1]) < n).view(np.uint8)
-    data, syndrome = pack_codes(coords, 1, words), pack_codes(coords ^ 1, 1, words)
-    extra, k = syndromes.shape[1], len(gens)
-    sets, ranks, pull = _information_sets(rows, pivots), [], 1
-    # members[join] lists the sets that join in that round, and groups[join]
-    # is their stacked generators and tables from then on (tables[1] is the
-    # generators with coefficient 1, lowest generator descending)
-    members, groups, done = {}, {}, {}
-    cut, best, visited = n if limit is None else limit, None, 0
+    words = -(-(n + extra) // 64)
+    coords = (np.arange(n + extra) < n).view(np.uint8)
+    data, syndrome = pack_codes(np.array([coords, coords ^ 1]), 1, words)
+    groups, done, live = {}, {}, list(range(len(searches)))
     for t in range(1, k + 1):
-        # pull the sets due by round t until the pulled ones end the search by
-        # finishing it (each that joins by then adds one to the bound); the
-        # default stops pulls
-        while pull <= t and sum(max(0, t + 1 - k + r) for r in ranks) <= cut:
-            matrix, rank, unused = next(sets, (None, 0, -k))
-            if matrix is not None:
-                ranks.append(rank)
-                members.setdefault(max(1, k - rank), []).append(matrix)
-            pull = max(1, k - unused)
-        if (bound := sum(max(0, t - k + r) for r in ranks)) > cut:
-            break
-        # (join, sets it runs): every set that finishes round t raises the
-        # bound by one, so only the first cut + 1 - bound sets in join order run
-        todo, need = [], cut + 1 - bound
-        for join, group in members.items():
-            if join <= t and need > 0:
-                todo.append((join, min(len(group), need)))
-                need -= len(group)
-        visited += sum(
-            count * math.comb(k, u) * len(scalars) ** (u - 1)
-            for join, count in todo
-            for u in range(done.get(join, 0) + 1, t + 1)
-        )
-        if visited > budget:
+        # counts[join][p]: how many of problem p's sets run in that group
+        counts, worst = {}, 0
+        for p in live[:]:
+            todo = searches[p].plan(t, k, done, len(scalars))
+            if todo is None:
+                live.remove(p)
+                continue
+            worst = max(worst, searches[p].visited)
+            for join, count in todo:
+                counts.setdefault(join, [0] * len(searches))[p] = count
+        if worst > budget:
             raise BudgetError(
-                f"search needs {visited} vectors through round {t}, which exceeds "
-                f"the budget of {budget}; raise the budget to at least {visited}"
+                f"search needs {worst} vectors through round {t}, which exceeds "
+                f"the budget of {budget}; raise the budget to at least {worst}"
             )
-        for join, count in todo:
-            if join not in groups:
-                codes = MUL[np.array(scalars)[:, None], np.array(members[join])[:, :, None, :]]
-                stacked = np.concatenate(pack_codes(codes, planes, words), axis=-1)
-                table = np.ascontiguousarray(stacked[::-1, 0].T), list(range(k, -1, -1))
-                groups[join] = stacked, [None, table]
-            stacked, tables = groups[join]
-            if count < len(members[join]):
-                # the round ends the search, so the group shrinks to its first sets' rows
-                prefix = count * planes * words
-                stacked = stacked[..., :prefix]
-                tables[1:] = [(vecs[:prefix], starts) for vecs, starts in tables[1:]]
+        if not live:
+            break
+        for join in sorted(counts):
+            group = groups.get(join)
+            if group is None:
+                group = groups[join] = _Group(join, counts[join], searches, scalars, planes, words)
+            elif counts[join] != group.counts:
+                group.keep(counts[join], planes * words)
             for u in range(done.get(join, 0) + 1, t + 1):
-                for block in _round(stacked, u, tables):
-                    cut, best = _fold(block, planes, n, data, syndrome, extra, cut, best)
+                for block in _round(group.stacked, u, group.tables):
+                    _fold(block, planes, n, data, syndrome, extra, group, searches)
             done[join] = t
-    if best is not None:
-        check_witness(a, best, cut, image)
-    return best
+    for search in searches:
+        if search.best is not None:
+            check_witness(search.a, search.best, search.cut, search.image)
+    return [search.best for search in searches]
 
 
 def boundary_cycle(
-    b: Boundary, budget: int, limit: int | None = None, dual: bool = False
-) -> np.ndarray | None:
-    """`min_cycle` on the matrix of a linalg `Boundary`, or on its adjoint if `dual`.
+    b: Boundary, budget: int, limit: int | None = None, both: bool = False
+) -> list[np.ndarray | None]:
+    """`min_cycle` on the matrix of a linalg `Boundary` and, if `both`, on its adjoint.
 
     The scalars are the field's nonzero codes, 1 to `b.matrix.top`, and the
-    reduced forms are the boundary's stored ones, swapped for the adjoint.
+    reduced forms are the boundary's stored ones, swapped for the adjoint,
+    so both sectors run in one enumeration.  A self-adjoint matrix is its
+    own adjoint, so its one problem is searched once and its cycle returned
+    for both.
     """
-    pair = [(reduced.codes, pivots) for reduced, pivots in (b.reduction, b.adjoint_reduction)]
-    a = b.matrix
-    if dual:
-        a, pair = a.adjoint(), pair[::-1]
-    return min_cycle(a.codes, tuple(pair), tuple(range(1, a.top + 1)), budget, limit)
+    own, adjoint = [(reduced.codes, pivots) for reduced, pivots in (b.reduction, b.adjoint_reduction)]
+    problems = [(b.matrix.codes, own, adjoint)]
+    if both and b.adjoint_reduction is not b.reduction:
+        problems.append((b.matrix.adjoint().codes, adjoint, own))
+    found = min_cycle(problems, tuple(range(1, b.matrix.top + 1)), budget, limit)
+    return found * 2 if both and len(found) == 1 else found
 
 
 def verify_cycle(b: Boundary, codes: np.ndarray) -> int:

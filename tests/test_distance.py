@@ -21,6 +21,7 @@ from homprod.gf2 import (
     vector_weight,
 )
 from homprod.product import product
+from homprod.search import min_cycle
 
 
 def naive_min_nontrivial(mat: BitMatrix) -> tuple[int, tuple]:
@@ -127,6 +128,82 @@ def test_budget_counts_only_the_information_sets_that_join():
         distance(p, budget=6_194)
     res = distance(p, budget=6_195)
     assert (res.d_z, res.d_x) == (1, 4)
+
+
+def test_budget_error_names_the_first_round_any_sector_passes():
+    # this random product has n = 35, H = 1, d = (2, 4) and k = 18 kernel
+    # generators per sector.  The z sector runs one information set, 18
+    # vectors through round 1 and 18 + C(18,2) = 171 through round 2; the x
+    # sector runs two sets that both join in round 1, 36 and then 342.  Both
+    # sectors pass a budget of 35, the x sector first, in round 1; both pass
+    # a budget of 170 in round 2, where the error names the larger count
+    rng = np.random.default_rng([1, 7, 5])
+    p = product(random_boundary(7, 1, rng), random_boundary(5, 1, rng)).partial
+    with pytest.raises(BudgetError, match=r"through round 1,.* at least 36$"):
+        distance(p, budget=35)
+    with pytest.raises(BudgetError, match=r"through round 2,.* at least 342$"):
+        distance(p, budget=170)
+    res = distance(p, budget=342)
+    assert (res.d_z, res.d_x) == (2, 4)
+
+
+def sector_operators():
+    rng = np.random.default_rng(6)
+    ops = [random_boundary(m, h, rng) for m, h in ((8, 2), (9, 1), (10, 2), (12, 4)) * 3]
+    for seed, (m1, h1, m2, h2) in (([1, 5], (6, 2, 6, 2)), ([1, 7, 5], (7, 1, 5, 1))):
+        rng = np.random.default_rng(seed)
+        ops.append(product(random_boundary(m1, h1, rng), random_boundary(m2, h2, rng)).partial)
+    return ops
+
+
+def test_joint_sectors_match_separate_searches_and_the_transpose():
+    # distance searches both sectors in one enumeration.  Each sector must
+    # give what a search of that sector alone gives (distance_upper_bound
+    # with the bound m returns the same least cycle), and the transposed
+    # operator must give the same two sectors swapped.  The two products
+    # have sectors that end in different rounds: d = (1, 4) and (2, 4)
+    for d in sector_operators():
+        transposed = BoundaryOperator(d.matrix.transpose())
+        res, swapped = distance(d), distance(transposed)
+        alone = distance_upper_bound(d, d.m), distance_upper_bound(transposed, d.m)
+        for got, other, want in (
+            (res.witness_z, swapped.witness_x, alone[0]),
+            (res.witness_x, swapped.witness_z, alone[1]),
+        ):
+            assert np.array_equal(got, want) and np.array_equal(other, want)
+        assert (res.d_z, res.d_x) == (swapped.d_x, swapped.d_z)
+        assert (res.d_z, res.d_x) == tuple(vector_weight(w) for w in alone)
+
+
+def test_symmetric_operator_is_searched_once(monkeypatch):
+    # a symmetric operator is its own transpose, so its two sectors are one
+    # problem: the search runs it once and returns its witness for both
+    steane = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
+    p = product(steane, steane).partial
+    assert p.adjoint_reduction is p.reduction
+    sizes = []
+
+    def counted(problems, *args):
+        sizes.append(len(problems))
+        return min_cycle(problems, *args)
+
+    monkeypatch.setattr("homprod.search.min_cycle", counted)
+    res = distance(p)
+    assert sizes == [1]
+    assert (res.d_z, res.d_x) == (7, 7)
+    assert np.array_equal(res.witness_z, res.witness_x)
+
+
+def test_joint_problems_must_share_their_shape():
+    # one enumeration serves problems of one length, kernel dimension and
+    # syndrome count only
+    problems = []
+    for d in (canonical_boundary(2, 1), canonical_boundary(3, 1)):
+        reduced, pivots = d.reduction
+        adjoint, adjoint_pivots = d.adjoint_reduction
+        problems.append((d.matrix.codes, (reduced.codes, pivots), (adjoint.codes, adjoint_pivots)))
+    with pytest.raises(DimensionError, match="differ"):
+        min_cycle(problems, (1,), 1 << 20)
 
 
 def test_matches_oracle_on_small_products():
