@@ -66,7 +66,7 @@ _TABLE_BYTES = 1 << 20
 # while each problem keeps its own bound, cut, witness and vector count.
 # Within a group the sets are ordered by their position in their problem,
 # so when every problem runs its first c sets the rows that run are a
-# prefix; a problem's rows leave every group once its search ends.
+# prefix; an ended problem's rows leave each group that still runs.
 
 
 def _information_sets(gens: np.ndarray, free: list[int]):
@@ -270,7 +270,8 @@ class _Group:
 
     `counts[p]` is how many of problem p's sets run, its first ones, and
     `slots` lists them as (position, problem), ordered by position so that
-    equal counts keep a prefix; `owner` is each slot's problem.  `stacked`
+    equal counts keep a prefix; `owner` is each slot's problem, and `lone`
+    the one problem that owns every slot, if there is one.  `stacked`
     is their packed generators with every scalar multiple, stacked along
     the word axis, and `tables` the tables built from them (tables[1] is
     the generators with coefficient 1, lowest generator descending).
