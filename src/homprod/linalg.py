@@ -38,6 +38,11 @@ def matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # -- packed words ---------------------------------------------------------------
+#
+# Two packers keep bytes, for Python ints: `rref_codes`, whose planes
+# `eliminate` reads as one int, where a narrow plane padded to a 64-bit word
+# would lengthen every integer operation; and circuits' `_columns` and
+# `_matrix`, which convert each column to and from an int of its bytes.
 
 
 def pack_codes(codes: np.ndarray, planes: int, words: int) -> np.ndarray:

@@ -5,6 +5,7 @@ The comment below states the method and the packed layout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -16,10 +17,11 @@ from .linalg import (
     residue, rref_codes, unpack_codes
 )
 
-# Vectors a distance search may visit, and the bytes of one enumeration table
-# or block of packed words in a distance search.
+# Vectors a distance search may visit, the bytes of one enumeration table or
+# block of packed words, and the width below which table blocks are gathered.
 DEFAULT_BUDGET = 1 << 32
 _TABLE_BYTES = 1 << 20
+_GATHER_WIDTH = 1000
 
 # One information-set (Brouwer-Zimmermann) search serves both fields.  The
 # cycles of a matrix a are ker(a) and the trivial ones im(a) = ker(a*)^perp,
@@ -43,11 +45,14 @@ _TABLE_BYTES = 1 << 20
 # words as they need.  A combination is then an XOR of packed columns, its
 # weight the popcount of the OR of its planes over the coordinate bits, and
 # it is nontrivial when any syndrome bit is set.  Only the candidates at the
-# best weight are unpacked to codes, by `unpack_codes`, to be scaled to a
-# leading 1 and compared.  So one combination per class of scalar multiples
-# is enough: cached tables of s-generator combinations hold the one whose
-# highest generator has coefficient 1.  A round whose table fits in
-# _TABLE_BYTES is that table, built once and kept for the next.
+# best weight are unpacked to codes, by `unpack_codes`, scaled to a leading
+# 1, and compared by one argmin over their bytes.  So one combination per
+# class of scalar multiples is enough: cached tables of s-generator
+# combinations hold the one whose highest generator has coefficient 1.  A
+# round whose table fits in _TABLE_BYTES is that table, built once and kept
+# for the next.  Table s + 1 XORs each generator's multiples onto table s's
+# columns above it: a cached index plan gathers every block narrower than
+# _GATHER_WIDTH columns at once, and each wider block takes one XOR.
 #
 # The sets that join in the same round, max(1, k - r_j), share one
 # enumeration: their packed generators are stacked along the word axis, so
@@ -89,6 +94,23 @@ def _information_sets(gens: np.ndarray, free: list[int]):
         yield reduced[:, np.argsort(order)], rank, len(free)
 
 
+@functools.lru_cache(maxsize=16)
+def _gather_plan(m: int, starts: tuple[int, ...], narrow: int):
+    """How `_extend` extends a table with these `starts`: for each column of the
+    blocks narrower than `narrow`, which come first, the table column and the
+    generator multiple (i * m + c) to XOR; the other blocks as (i, width,
+    first, last); and the new table's starts."""
+    k = len(starts) - 1
+    widths = np.array(starts[:0:-1])  # generator i = k - 1 down to 0 heads m blocks this wide
+    edges = np.concatenate([[0], np.cumsum(m * widths)])
+    count = int(np.count_nonzero(widths < narrow))
+    at = np.arange(edges[count])
+    block = np.searchsorted(edges, at, side="right") - 1
+    multiple, columns = np.divmod(at - edges[block], widths[block])
+    wide = [(k - 1 - b, int(widths[b]), int(edges[b]), int(edges[b + 1])) for b in range(count, k)]
+    return columns, (k - 1 - block) * m + multiple, wide, tuple(edges[::-1].tolist())
+
+
 def _extend(gens: np.ndarray, table):
     """The table of combinations with one more generator than `table`.
 
@@ -101,15 +123,14 @@ def _extend(gens: np.ndarray, table):
     """
     vecs, starts = table
     k, m, size = gens.shape
-    ends = list(itertools.accumulate(m * starts[i + 1] for i in range(k - 1, -1, -1)))
-    out = np.empty((size, ends[-1]), dtype=np.uint64)
-    for i, end in zip(range(k - 1, -1, -1), ends):
-        w = starts[i + 1]
-        if not w:  # too few generators above i
-            continue
-        block = out[:, end - m * w : end].reshape(size, m, w)
+    columns, multiples, wide, extended = _gather_plan(m, tuple(starts), _GATHER_WIDTH)
+    out = np.empty((size, extended[0]), dtype=np.uint64)
+    scaled = gens.reshape(k * m, size).T  # column i * m + c is generator i times scalar c
+    np.bitwise_xor(vecs.take(columns, axis=1), scaled.take(multiples, axis=1), out=out[:, : len(columns)])
+    for i, w, first, last in wide:
+        block = out[:, first:last].reshape(size, m, w)
         np.bitwise_xor(vecs[:, None, :w], gens[i].T[:, :, None], out=block)
-    return out, [*ends[::-1], 0]
+    return out, extended
 
 
 def _round(gens: np.ndarray, t: int, tables: list):
@@ -165,7 +186,7 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, gr
     The block stacks the rows of the information sets of `group` over the
     same combinations, so it reads as (sets, planes, words, columns), and
     each set's weight, syndrome test and candidates come from its own rows.
-    `group.owner[i]` indexes the problem in `problems` that set i belongs
+    `group.owners[i]` indexes the problem in `problems` that set i belongs
     to, and `group.lone` is the one problem that owns them all, if any.  A
     problem's `cut` is the weight of its `best`, or the weight limit while
     there is none.  `data` and `syndrome` mask one plane's words to the n
@@ -185,74 +206,78 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, gr
         total = ones[:, 0]
     else:
         total = np.add.reduce(ones, axis=1, dtype=np.uint16 if words < 1024 else np.uint32)
-    lone = group.lone
+    lone, most = group.lone, 64 * words
     if lone is not None:
         cut = problems[lone].cut
-        reach = min(cut + extra, 64 * words)
+        reach = min(cut + extra, most)
     else:
-        cuts = np.array([problems[p].cut for p in group.owner])
-        reach = np.minimum(cuts + extra, 64 * words).astype(total.dtype)[:, None]
-    sets, cols = np.divmod(np.flatnonzero(total <= reach), count)
+        cuts = [problems[p].cut for p in group.owners]
+        reach = np.array([min(c + extra, most) for c in cuts], dtype=total.dtype)[:, None]
+    sets, cols = np.divmod((total <= reach).ravel().nonzero()[0], count)
     if lone is None:
-        cut = cuts[sets]
+        cut = np.array(cuts)[sets]
     near = either[sets, :, cols]
     ones = np.bitwise_count(near & data)
     weights = ones[:, 0] if words == 1 else np.add.reduce(ones, axis=1, dtype=np.int32)
-    hit = (weights <= cut) & np.logical_or.reduce(near & syndrome, axis=1)
-    if not hit.any():
+    hits = ((weights <= cut) & np.logical_or.reduce(near & syndrome, axis=1)).nonzero()[0]
+    if not len(hits):
         return
-    if lone is not None:
-        offers = [(lone, hit)]
-    else:
-        owners = np.array(group.owner)[sets]
-        offers = [(p, hit & (owners == p)) for p in sorted(set(group.owner))]
-    for p, mine in offers:
-        if not mine.any():
+    owners = None if lone is not None else group.owners[sets[hits]]
+    for p in group.running:
+        mine = hits if owners is None else hits[owners == p]
+        if not len(mine):
             continue
-        w = int(weights[mine].min())
-        top = mine & (weights == w)
-        picked = block[sets[top], :, :, cols[top]]
-        cands = unpack_codes(picked.reshape(len(picked), -1), planes, n)
+        least = weights[mine].min()
+        ties = mine[weights[mine] == least]
+        picked = block[sets[ties], :, :, cols[ties]]
+        cands = unpack_codes(picked.reshape(len(ties), -1), planes, n)
         if planes > 1:
             lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
             cands = MUL[INV[lead][:, None], cands]
-        problem, cand = problems[p], min(cands, key=np.ndarray.tobytes)
-        if problem.best is None or w < problem.cut or cand.tobytes() < problem.best.tobytes():
-            problem.cut, problem.best = w, cand
+        cand = cands[np.ascontiguousarray(cands).view(f"S{n}").argmin()]
+        problem = problems[p]
+        if problem.best is None or least < problem.cut or cand.tobytes() < problem.best.tobytes():
+            problem.cut, problem.best = int(least), cand
 
 
 class _Problem:
     """One problem's own part of a search: its matrix and image basis for the
-    witness check, its information sets, the ranks pulled so far and the
-    round of its next pull, its sets by join round (`members`), its cut and
-    best cycle, and the vectors it has visited."""
+    witness check, its information sets, the round of its next pull, its
+    sets by join round (`members`), the bound before the round, the sets
+    whose terms grow when it finishes (`rising`) or first in round t
+    (`rises[t]`), its cut and best cycle, and the vectors it has visited."""
 
-    __slots__ = ("a", "image", "sets", "ranks", "pull", "members", "cut", "best", "visited")
+    __slots__ = ("a", "image", "sets", "pull", "members", "bound", "rising", "rises", "cut", "best", "visited")
 
     def __init__(self, a: np.ndarray, image: np.ndarray, sets, cut: int):
-        self.a, self.image, self.sets = a, image, sets
-        self.ranks, self.pull, self.members = [], 1, {}
+        self.a, self.image, self.sets, self.pull, self.members = a, image, sets, 1, {}
+        self.bound, self.rising, self.rises = 0, 0, {}
         self.cut, self.best, self.visited = cut, None, 0
 
     def plan(self, t: int, k: int, done: dict, scalars: int) -> list | None:
         """(join, sets it runs) for round t, in join order, or None once the search has ended.
 
+        Called for t = 1, 2, ... in turn; set j's term is max(0, t - k + r_j).
         Pulls the sets due by round t until the pulled ones end the search by
-        finishing it (each that joins by then adds one to the bound).  Every
-        set that finishes round t raises the bound by one, so only the first
-        cut + 1 - bound sets in join order run; their vectors are counted.
+        finishing it.  Every set that finishes round t raises the bound by one,
+        so only the first cut + 1 - bound sets in join order run and count.
         """
-        ranks, cut = self.ranks, self.cut
-        while self.pull <= t and sum(max(0, t + 1 - k + r) for r in ranks) <= cut:
+        self.bound += self.rising
+        self.rising += self.rises.pop(t, 0)
+        while self.pull <= t and self.bound + self.rising <= self.cut:
             matrix, rank, unused = next(self.sets, (None, 0, -k))
             if matrix is not None:
-                ranks.append(rank)
                 self.members.setdefault(max(1, k - rank), []).append(matrix)
+                if k - rank <= t:
+                    self.bound += t - k + rank
+                    self.rising += 1
+                else:
+                    self.rises[k - rank] = self.rises.get(k - rank, 0) + 1
             # the default stops pulls
             self.pull = max(1, k - unused)
-        if (bound := sum(max(0, t - k + r) for r in ranks)) > cut:
+        if self.bound > self.cut:
             return None
-        todo, need = [], cut + 1 - bound
+        todo, need = [], self.cut + 1 - self.bound
         for join, group in self.members.items():
             if join <= t and need > 0:
                 todo.append((join, min(len(group), need)))
@@ -270,14 +295,14 @@ class _Group:
 
     `counts[p]` is how many of problem p's sets run, its first ones, and
     `slots` lists them as (position, problem), ordered by position so that
-    equal counts keep a prefix; `owner` is each slot's problem, and `lone`
-    the one problem that owns every slot, if there is one.  `stacked`
-    is their packed generators with every scalar multiple, stacked along
-    the word axis, and `tables` the tables built from them (tables[1] is
-    the generators with coefficient 1, lowest generator descending).
+    equal counts keep a prefix; `running` lists the problems with any, and
+    `lone` is the one that owns every slot, if any, else `owners` is each
+    slot's problem.  `stacked` is their packed generators with every scalar
+    multiple, stacked along the word axis, and `tables` the tables built
+    from them (tables[1]: coefficient 1, lowest generator descending).
     """
 
-    __slots__ = ("counts", "slots", "owner", "lone", "stacked", "tables")
+    __slots__ = ("counts", "slots", "running", "lone", "owners", "stacked", "tables")
 
     def __init__(self, join: int, counts: list[int], problems, scalars, planes: int, words: int):
         self._run(counts)
@@ -285,7 +310,7 @@ class _Group:
         codes = MUL[np.array(scalars)[:, None], np.array(matrices)[:, :, None, :]]
         self.stacked = np.concatenate(pack_codes(codes, planes, words), axis=-1)
         k = len(self.stacked)
-        self.tables = [None, (np.ascontiguousarray(self.stacked[::-1, 0].T), list(range(k, -1, -1)))]
+        self.tables = [None, (np.ascontiguousarray(self.stacked[::-1, 0].T), tuple(range(k, -1, -1)))]
 
     def keep(self, counts: list[int], width: int) -> None:
         """Keep only the rows of the first counts[p] sets of each problem p.
@@ -293,9 +318,8 @@ class _Group:
         The sets that stop running belong to searches that end, so the
         rows go for good: a view when they leave a prefix, else a copy.
         """
-        old = self.slots
+        at = [j for j, (i, p) in enumerate(self.slots) if i < counts[p]]
         self._run(counts)
-        at = [old.index(slot) for slot in self.slots]
         if at == list(range(len(at))):
             rows = slice(0, len(at) * width)
         else:
@@ -306,9 +330,9 @@ class _Group:
     def _run(self, counts: list[int]) -> None:
         self.counts = counts
         self.slots = [(i, p) for i in range(max(counts)) for p, c in enumerate(counts) if i < c]
-        self.owner = [p for _, p in self.slots]
-        running = [p for p, c in enumerate(counts) if c]
-        self.lone = running[0] if len(running) == 1 else None
+        self.running = [p for p, c in enumerate(counts) if c]
+        self.lone = self.running[0] if len(self.running) == 1 else None
+        self.owners = None if self.lone is not None else np.array([p for _, p in self.slots])
 
 
 def _null_basis(bases: dict, reduced: np.ndarray, pivots: list[int]) -> np.ndarray:

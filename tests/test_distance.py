@@ -345,6 +345,17 @@ def test_engine_matches_naive_enumeration(d):
     assert np.array_equal(distance_upper_bound(d, res.d_z), res.witness_z)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), operators(max_m=5))
+def test_ties_break_to_the_weight_lex_least_cycle(zeros, d):
+    # many cycles tie at the least weight: every unit vector of a zero
+    # operator, and each lightest cycle of d, once in each copy, in d + d.
+    # distance runs both sectors of d + d in one min_cycle, so each
+    # sector's ties must be broken among its own candidates
+    assert_matches_oracle(BoundaryOperator(BitMatrix.zeros(zeros, zeros)))
+    assert_matches_oracle(BoundaryOperator(direct_sum(d.matrix, d.matrix)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(operators(max_m=8, min_h=2))
 def test_witness_check_accepts_exactly_the_nontrivial_cycles(d):

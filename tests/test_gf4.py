@@ -715,6 +715,19 @@ def test_budget_counts_the_vectors_of_every_information_set():
     assert gf4_distance(p, budget=3_068).d == 5
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([(3, 1), (4, 1), (5, 2)]), st.integers(0, 2**32 - 1))
+def test_ties_break_to_the_weight_lex_least_cycle(zeros, shape, seed):
+    # many classes tie at the least weight: every unit vector of a zero
+    # operator, and each lightest class of d, once in each copy, in d + d;
+    # every candidate is scaled to a leading 1 before the ties are broken
+    zero = direct_sum(np.zeros((zeros, zeros), dtype=np.uint8))
+    assert found(gf4_distance(zero).witness) == naive_min_nontrivial(zero)
+    d = random_gf4_boundary(np.random.default_rng(seed), *shape)
+    twice = direct_sum(d.delta.codes, d.delta.codes)
+    assert found(gf4_distance(twice).witness) == naive_min_nontrivial(twice)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 7), st.data())
 def test_witness_check_rejects_every_boundary_and_accepts_its_shifts(m, data):
@@ -810,6 +823,38 @@ def test_witnesses_do_not_depend_on_the_block_size(monkeypatch):
     for cap in (8, 640):
         monkeypatch.setattr("homprod.search._TABLE_BYTES", cap)
         assert witnesses() == default, cap
+
+
+def block_size_population():
+    """The operators of the block-size test: two css49 products and nine 5-qubit^2 products."""
+    basis = steane_check_basis()
+    twin = boundary_from_checks(basis, BitMatrix.identity(3))
+    asymmetric = BitMatrix.from_dense(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.uint8))
+    css = [
+        product(boundary_from_checks(basis, u), twin).partial
+        for u in (BitMatrix.identity(3), asymmetric)
+    ]
+    fives = [gf4_boundary_from_checks(five_qubit_check_basis(), u) for u in enumerate_selfadjoint_invertible(2)[:3]]
+    return css, [gf4_product(a, b) for a in fives for b in fives]
+
+
+@pytest.mark.parametrize("narrow", [0, 1 << 40], ids=["all XORed", "all gathered"])
+def test_witnesses_do_not_depend_on_the_table_split(monkeypatch, narrow):
+    # the search writes table blocks narrower than _GATHER_WIDTH columns by
+    # gathers and wider ones by one XOR per generator; forcing either way
+    # for every block must leave every witness as it is
+    css, squares = block_size_population()
+
+    def witnesses():
+        out = []
+        for p in css:
+            r = distance(p)
+            out += [(r.d_z, vector_to_bits(r.witness_z, p.m).tolist()), (r.d_x, vector_to_bits(r.witness_x, p.m).tolist())]
+        return out + [found(gf4_distance(p).witness) for p in squares]
+
+    default = witnesses()
+    monkeypatch.setattr("homprod.search._GATHER_WIDTH", narrow)
+    assert witnesses() == default
 
 
 def test_distance_is_thread_count_independent():
