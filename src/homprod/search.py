@@ -50,9 +50,9 @@ _GATHER_WIDTH = 1000
 # class of scalar multiples is enough: cached tables of s-generator
 # combinations hold the one whose highest generator has coefficient 1.  A
 # round whose table fits in _TABLE_BYTES is that table, built once and kept
-# for the next.  Table s + 1 XORs each generator's multiples onto table s's
-# columns above it: a cached index plan gathers every block narrower than
-# _GATHER_WIDTH columns at once, and each wider block takes one XOR.
+# for the next.  Table s + 1 adds a lower generator to table s: a cached
+# index plan gathers the blocks narrower than _GATHER_WIDTH columns, whose
+# short rows cost more per word to XOR, and each wider block takes one XOR.
 #
 # The sets that join in the same round, max(1, k - r_j), share one
 # enumeration: their packed generators are stacked along the word axis, so
@@ -96,10 +96,9 @@ def _information_sets(gens: np.ndarray, free: list[int]):
 
 @functools.lru_cache(maxsize=16)
 def _gather_plan(m: int, starts: tuple[int, ...], narrow: int):
-    """How `_extend` extends a table with these `starts`: for each column of the
-    blocks narrower than `narrow`, which come first, the table column and the
-    generator multiple (i * m + c) to XOR; the other blocks as (i, width,
-    first, last); and the new table's starts."""
+    """`_extend`'s plan for a table with these `starts`: the table column and
+    multiple (i * m + c) to XOR for each column of the blocks narrower than
+    `narrow`, which come first; the other blocks as (i, w, first, last); new starts."""
     k = len(starts) - 1
     widths = np.array(starts[:0:-1])  # generator i = k - 1 down to 0 heads m blocks this wide
     edges = np.concatenate([[0], np.cumsum(m * widths)])
@@ -119,7 +118,8 @@ def _extend(gens: np.ndarray, table):
     the others any nonzero one, so one per class of scalar multiples, as a
     packed column, ordered by lowest generator descending, together with
     `starts[i]`, the number of leading columns whose lowest generator is at
-    least i.  Adding a lower generator with every scalar keeps that form.
+    least i.  Adding a lower generator with every scalar keeps that form:
+    `_gather_plan`'s indices gather the narrow blocks, and each wide one is one XOR.
     """
     vecs, starts = table
     k, m, size = gens.shape

@@ -825,17 +825,21 @@ def test_witnesses_do_not_depend_on_the_block_size(monkeypatch):
         assert witnesses() == default, cap
 
 
-def block_size_population():
-    """The operators of the block-size test: two css49 products and nine 5-qubit^2 products."""
+def block_size_witnesses():
+    """Every witness of the block-size test's operators: both sectors of two
+    css49 products and nine 5-qubit^2 products."""
     basis = steane_check_basis()
     twin = boundary_from_checks(basis, BitMatrix.identity(3))
     asymmetric = BitMatrix.from_dense(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.uint8))
-    css = [
-        product(boundary_from_checks(basis, u), twin).partial
-        for u in (BitMatrix.identity(3), asymmetric)
-    ]
-    fives = [gf4_boundary_from_checks(five_qubit_check_basis(), u) for u in enumerate_selfadjoint_invertible(2)[:3]]
-    return css, [gf4_product(a, b) for a in fives for b in fives]
+    out = []
+    for u in (BitMatrix.identity(3), asymmetric):
+        p = product(boundary_from_checks(basis, u), twin).partial
+        r = distance(p)
+        for d, w in ((r.d_z, r.witness_z), (r.d_x, r.witness_x)):
+            out.append((d, vector_to_bits(w, p.m).tolist()))
+    us = enumerate_selfadjoint_invertible(2)
+    fives = [gf4_boundary_from_checks(five_qubit_check_basis(), u) for u in us[:3]]
+    return out + [found(gf4_distance(gf4_product(a, b)).witness) for a in fives for b in fives]
 
 
 @pytest.mark.parametrize("narrow", [0, 1 << 40], ids=["all XORed", "all gathered"])
@@ -843,18 +847,9 @@ def test_witnesses_do_not_depend_on_the_table_split(monkeypatch, narrow):
     # the search writes table blocks narrower than _GATHER_WIDTH columns by
     # gathers and wider ones by one XOR per generator; forcing either way
     # for every block must leave every witness as it is
-    css, squares = block_size_population()
-
-    def witnesses():
-        out = []
-        for p in css:
-            r = distance(p)
-            out += [(r.d_z, vector_to_bits(r.witness_z, p.m).tolist()), (r.d_x, vector_to_bits(r.witness_x, p.m).tolist())]
-        return out + [found(gf4_distance(p).witness) for p in squares]
-
-    default = witnesses()
+    default = block_size_witnesses()
     monkeypatch.setattr("homprod.search._GATHER_WIDTH", narrow)
-    assert witnesses() == default
+    assert block_size_witnesses() == default
 
 
 def test_distance_is_thread_count_independent():
