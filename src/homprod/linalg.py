@@ -21,20 +21,30 @@ for _a in range(1, 4):
         MUL[_a, _b] = 1 + ((_a - 1) + (_b - 1)) % 3
 CONJ = np.array([MUL[x, x] for x in range(4)], dtype=np.uint8)
 INV = np.array([0, 1, 3, 2], dtype=np.uint8)
+# The float32 bit planes (a0, a1, a0 ^ a1) of each code a = a0 + a1 w, one row per plane.
+_PLANES = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]], dtype=np.float32)
 
 
 def matmul_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product a @ b of code arrays, from integer products of bit planes.
+    """The product a @ b of code arrays, from float32 GEMMs of 0/1 bit planes.
 
-    Each plane of the product is the parity of integer sums, which uint8 keeps
-    as it wraps mod 256.  0/1 codes need one product; otherwise a = a0 + a1 w
-    and w^2 = 1 + w give the planes a0 b0 + a1 b1 and (a0 + a1)(b0 + b1) + a0 b0.
+    Each plane of the product is the parity of integer sums.  0/1 codes need
+    one product; otherwise a = a0 + a1 w and w^2 = 1 + w give the planes
+    a0 b0 + a1 b1 and (a0 ^ a1)(b0 ^ b1) + a0 b0, and the three plane products
+    run as one stacked matmul.  A sum of 0/1 products is an integer at most
+    the inner dimension, and float32 holds every integer below 2^24 exactly,
+    in any order of addition, so the result does not depend on how BLAS
+    splits or threads the sum.  No matrix of this package comes near 2^24
+    columns: one float32 row that long is 64 MiB, and the largest products
+    here are a few hundred wide.  Parity is read from an int32 cast, since a
+    float cast to uint8 is undefined above 255.
     """
     if a.max(initial=0) <= 1 and b.max(initial=0) <= 1:
-        return (a @ b) & 1
-    a0, a1, b0, b1 = a & 1, a >> 1, b & 1, b >> 1
-    low = a0 @ b0
-    return (low ^ a1 @ b1) & 1 | ((low ^ (a0 ^ a1) @ (b0 ^ b1)) & 1) << 1
+        sums = a.astype(np.float32) @ b.astype(np.float32)
+        return (sums.astype(np.int32) & 1).astype(np.uint8)
+    p = np.matmul(_PLANES.take(a, axis=1), _PLANES.take(b, axis=1)).astype(np.int32) & 1
+    low, high = p[1:] ^ p[0]
+    return (low | high << 1).astype(np.uint8)
 
 
 # -- packed words ---------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from .css import CssCode, stabilizer_weight_of
 from .errors import InvariantError, ParameterError, PreconditionError
 from .gf2 import BitMatrix
+from .linalg import matmul_codes
 
 
 @dataclass
@@ -68,10 +69,9 @@ def _split(c: CssCode, stab: int, t1, primary: str) -> CssCode:
 
     # The opposite-type rows pick up the ancilla exactly when their overlap
     # with t1 is odd, which restores every inner product to zero.
-    t1_indicator = np.zeros(n, dtype=np.uint8)
+    t1_indicator = np.zeros((n, 1), dtype=np.uint8)
     t1_indicator[sorted(chosen)] = 1
-    parity = (other_dense @ t1_indicator) & 1
-    other_new = np.concatenate([other_dense, parity[:, None]], axis=1)
+    other_new = np.concatenate([other_dense, matmul_codes(other_dense, t1_indicator)], axis=1)
 
     split_bm = BitMatrix(split_new)
     other_bm = BitMatrix(other_new)

@@ -157,12 +157,15 @@ def _round(gens: np.ndarray, t: int, tables: list):
         return
     total = math.comb(k, t) * m ** (t - 1)
     buf = np.empty((size, min(total, max(cap, m * vecs.shape[1]))), dtype=np.uint64)
-    used = 0
+    used, one = 0, t - s == 1
     for r in range(t - s - 1, k - s):
-        # table s + 1's columns whose lowest generator is r, so XORs run long
-        seg = (vecs[:, None, : starts[r + 1]] ^ gens[r].T[:, :, None]).reshape(size, -1)
+        # a one-generator head is generator r's multiples, XORed with the tail
+        # straight into the buffer; longer heads take table s + 1's columns
+        # whose lowest generator is r as the segment, so XORs run long
+        tail = vecs[:, : starts[r + 1]]
+        seg = tail if one else (tail[:, None] ^ gens[r].T[:, :, None]).reshape(size, -1)
         for rows in itertools.combinations(range(r), t - s - 1):
-            heads = np.zeros((1, size), dtype=np.uint64)
+            heads = gens[r] if one else np.zeros((1, size), dtype=np.uint64)
             for g in rows:
                 heads = (heads[:, None] ^ gens[g][None]).reshape(-1, size)
             # as many heads per XOR as fit in the buffer, each against the whole segment

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homprod import BitMatrix, DimensionError
-from homprod.complexes import BoundaryOperator
+from homprod.complexes import BoundaryOperator, random_boundary
 from homprod.gf2 import (
     extend_basis,
     image_basis,
@@ -21,6 +21,7 @@ from homprod.gf2 import (
     vector_to_bits,
     vector_weight,
 )
+from homprod.product import product
 
 
 def dense(m: BitMatrix) -> np.ndarray:
@@ -85,6 +86,16 @@ def test_matmul_past_255_columns_matches_int64_product():
         for right in (b, a.T):
             got = BitMatrix.from_dense(a) @ BitMatrix.from_dense(right)
             assert np.array_equal(dense(got), (a.astype(np.int64) @ right) % 2)
+
+
+def test_matmul_past_one_blas_thread_matches_int64_product():
+    # the seeded n = 400 product of two M = 20 random boundaries: 400^3 is far
+    # past the 64^3 that OpenBLAS keeps on one thread
+    rng = np.random.default_rng([5, 20, 0])
+    d = product(random_boundary(20, 2, rng), random_boundary(20, 2, rng)).partial.matrix
+    assert d.rows == 400
+    for right in (d, d.transpose()):
+        assert np.array_equal(dense(d @ right), (dense(d).astype(np.int64) @ dense(right)) % 2)
 
 
 def test_matmul_shape_mismatch():

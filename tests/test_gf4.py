@@ -257,6 +257,18 @@ def test_matrix_product_matches_table_oracle():
             assert np.array_equal(got, naive_matmul(a, a.T))
 
 
+def test_matrix_product_past_one_blas_thread_matches_table_oracle():
+    # 300^3 is far past the 64^3 that OpenBLAS keeps on one thread; the oracle
+    # sums over the inner index with the hand tables, every entry at once
+    rng = np.random.default_rng(13)
+    a = random_codes(rng, 300, 300)
+    b = random_codes(rng, 300, 300)
+    want = np.zeros((300, 300), dtype=np.uint8)
+    for k in range(300):
+        want = ADD[want, MUL[a[:, k, None], b[None, k]]]
+    assert np.array_equal(matmul_codes(a, b), want)
+
+
 def test_scale_conjugate_transpose_adjoint_match_tables():
     rng = np.random.default_rng(4)
     a = random_codes(rng, 5, 7)

@@ -1,4 +1,4 @@
-"""The distance search's enumeration tables against an itertools reference, for both fields."""
+"""The distance search's enumeration tables and rounds against an itertools reference, for both fields."""
 
 import functools
 import itertools
@@ -55,3 +55,22 @@ def test_tables_match_an_itertools_reference(k, m, planes, rows, narrow, monkeyp
         table = search._extend(gens, table)
         s += 1
     assert s >= min(k, 2)
+
+
+@pytest.mark.parametrize("s, t", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)])
+@pytest.mark.parametrize("m, planes", [(1, 1), (3, 2)], ids=["GF(2)", "GF(4)"])
+def test_rounds_match_an_itertools_reference(s, t, m, planes, monkeypatch):
+    # _TABLE_BYTES holds table s but not table s + 1, so round t runs heads of
+    # t - s generators over table s; in whatever order and blocks, its columns
+    # must be every t-combination whose highest coefficient is 1, once each
+    k, size = 7, 2 * planes
+    monkeypatch.setattr("homprod.search._TABLE_BYTES", math.comb(k, s) * m ** (s - 1) * 8 * size)
+    rng = np.random.default_rng([k, m, s, t])
+    gens = rng.integers(0, 1 << 64, size=(k, m, size), dtype=np.uint64)
+    tables = [None, (np.ascontiguousarray(gens[::-1, 0].T), tuple(range(k, -1, -1)))]
+    # each block is a view of a buffer that the next one overwrites
+    got = np.concatenate([block.copy() for block in search._round(gens, t, tables)], axis=1)
+    assert len(tables) == s + 1
+    order, scalars = reference_order(k, m, t)
+    want = np.bitwise_xor.reduce(gens[order, scalars], axis=1)
+    assert sorted(c.tobytes() for c in got.T) == sorted(c.tobytes() for c in want)
