@@ -79,10 +79,10 @@ def _information_sets(gens: np.ndarray, free: list[int]):
 
     `gens` is the first set, the identity on the coordinates outside `free`,
     the pivot columns of the operator.  Each later matrix reduces the
-    generators on the columns no earlier set used, so its first `rank` rows
-    form an identity on its own set and the other rows vanish there;
-    `unused` counts the columns no set has used yet.  The sets end once the
-    generators vanish on all of them.
+    generators on the columns no earlier set used.  Its first k - rank rows,
+    the extras, vanish there, and the last `rank` rows form an identity on
+    its own set.  `unused` counts the columns no set has used yet.  The sets
+    end once the generators vanish on all of them.
     """
     yield gens, len(gens), len(free)
     while gens[:, free].any():
@@ -91,7 +91,8 @@ def _information_sets(gens: np.ndarray, free: list[int]):
         rank = sum(p < len(free) for p in pivots)
         used = {order[p] for p in pivots[:rank]}
         free = [c for c in free if c not in used]
-        yield reduced[:, np.argsort(order)], rank, len(free)
+        reduced = reduced.take(np.argsort(order), axis=1)
+        yield np.concatenate((reduced[rank:], reduced[:rank])), rank, len(free)
 
 
 @functools.lru_cache(maxsize=16)
@@ -183,14 +184,46 @@ def _round(gens: np.ndarray, t: int, tables: list):
         yield buf[:, :used]
 
 
-def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, group, problems):
+class _Owners:
+    """The problems that own the sets of a block, given as each set's index
+    in the problem list: `running` lists them once each, in order, and
+    `lone` is the one that owns every set, if any, else `each[i]` is set
+    i's, as an array."""
+
+    __slots__ = ("running", "lone", "each")
+
+    def __init__(self, each: list[int]):
+        self.running = sorted(set(each))
+        self.lone = self.running[0] if len(self.running) == 1 else None
+        self.each = None if self.lone is not None else np.array(each)
+
+
+def _tie_round(extras: np.ndarray, prefix: np.ndarray):
+    """Every combination of exactly t generators that holds each of the e
+    extras, generators 0 to e - 1, and whose highest coefficient is 1.
+
+    `extras[i, c]` is extra i times scalar c, packed, and `prefix` the
+    columns of table t - e whose lowest generator is at least e, its first
+    starts[e]: the combinations of t - e of the other generators.  Each is
+    XORed with each of the m^e sums of the extras at every nonzero
+    coefficient, as many sums per block as keep it near _TABLE_BYTES.
+    """
+    size, width = prefix.shape
+    sums = extras[0]
+    for g in extras[1:]:
+        sums = (sums[:, None] ^ g[None]).reshape(-1, size)
+    step = max(1, _TABLE_BYTES // (8 * size * width))
+    for i in range(0, len(sums), step):
+        yield (prefix[:, None] ^ sums[i : i + step].T[:, :, None]).reshape(size, -1)
+
+
+def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, owners: _Owners, problems):
     """Merge a packed block into each problem's (weight, lex)-least nontrivial cycle.
 
-    The block stacks the rows of the information sets of `group` over the
-    same combinations, so it reads as (sets, planes, words, columns), and
-    each set's weight, syndrome test and candidates come from its own rows.
-    `group.owners[i]` indexes the problem in `problems` that set i belongs
-    to, and `group.lone` is the one problem that owns them all, if any.  A
+    The block stacks the rows of several information sets over the same
+    combinations, so it reads as (sets, planes, words, columns), and each
+    set's weight, syndrome test and candidates come from its own rows.
+    `owners` says which problem in `problems` each set belongs to.  A
     problem's `cut` is the weight of its `best`, or the weight limit while
     there is none.  `data` and `syndrome` mask one plane's words to the n
     coordinates and to the `extra` syndrome bits.  Each candidate is scaled
@@ -209,12 +242,12 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, gr
         total = ones[:, 0]
     else:
         total = np.add.reduce(ones, axis=1, dtype=np.uint16 if words < 1024 else np.uint32)
-    lone, most = group.lone, 64 * words
+    lone, most = owners.lone, 64 * words
     if lone is not None:
         cut = problems[lone].cut
         reach = min(cut + extra, most)
     else:
-        cuts = [problems[p].cut for p in group.owners]
+        cuts = [problems[p].cut for p in owners.each]
         reach = np.array([min(c + extra, most) for c in cuts], dtype=total.dtype)[:, None]
     sets, cols = np.divmod((total <= reach).ravel().nonzero()[0], count)
     if lone is None:
@@ -225,9 +258,9 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, gr
     hits = ((weights <= cut) & np.logical_or.reduce(near & syndrome, axis=1)).nonzero()[0]
     if not len(hits):
         return
-    owners = None if lone is not None else group.owners[sets[hits]]
-    for p in group.running:
-        mine = hits if owners is None else hits[owners == p]
+    mark = None if lone is not None else owners.each[sets[hits]]
+    for p in owners.running:
+        mine = hits if mark is None else hits[mark == p]
         if not len(mine):
             continue
         least = weights[mine].min()
@@ -246,24 +279,34 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, gr
 class _Problem:
     """One problem's own part of a search: its matrix and image basis for the
     witness check, its information sets, the round of its next pull, its
-    sets by join round (`members`), the bound before the round, the sets
-    whose terms grow when it finishes (`rising`) or first in round t
-    (`rises[t]`), its cut and best cycle, and the vectors it has visited."""
+    sets by join round (`members`), the position in members[e] of its
+    first set with e >= 1 extras (`ties[e]`), the bound before the round,
+    the sets whose terms grow when it finishes (`rising`) or first in
+    round t (`rises[t]`), its cut and best cycle, and the vectors it has
+    visited."""
 
-    __slots__ = ("a", "image", "sets", "pull", "members", "bound", "rising", "rises", "cut", "best", "visited")
+    __slots__ = (
+        "a", "image", "sets", "pull", "members", "ties", "bound", "rising", "rises", "cut", "best", "visited"
+    )
 
     def __init__(self, a: np.ndarray, image: np.ndarray, sets, cut: int):
-        self.a, self.image, self.sets, self.pull, self.members = a, image, sets, 1, {}
+        self.a, self.image, self.sets, self.pull, self.members, self.ties = a, image, sets, 1, {}, {}
         self.bound, self.rising, self.rises = 0, 0, {}
         self.cut, self.best, self.visited = cut, None, 0
 
-    def plan(self, t: int, k: int, done: dict, scalars: int) -> list | None:
-        """(join, sets it runs) for round t, in join order, or None once the search has ended.
+    def plan(self, t: int, k: int, done: dict, scalars: int, groups: dict):
+        """(todo, tie) for round t, or None once the search has ended.
 
         Called for t = 1, 2, ... in turn; set j's term is max(0, t - k + r_j).
         Pulls the sets due by round t until the pulled ones end the search by
         finishing it.  Every set that finishes round t raises the bound by one,
-        so only the first cut + 1 - bound sets in join order run and count.
+        so only the first cut + 1 - bound sets in join order run and count:
+        `todo` lists them as (join, sets it runs).  When that need is 1, the
+        round is a tie round if some set with 1 <= e <= t - 1 extras has
+        table t - e cached in its group, `groups[e]`: then
+        `todo` is empty and `tie` is (e, position in members[e]) of such a
+        set with the most extras, which runs only its combinations that hold
+        every extra.  Otherwise `tie` is None.
         """
         self.bound += self.rising
         self.rising += self.rises.pop(t, 0)
@@ -271,6 +314,8 @@ class _Problem:
             matrix, rank, unused = next(self.sets, (None, 0, -k))
             if matrix is not None:
                 self.members.setdefault(max(1, k - rank), []).append(matrix)
+                if rank < k:
+                    self.ties.setdefault(k - rank, len(self.members[k - rank]) - 1)
                 if k - rank <= t:
                     self.bound += t - k + rank
                     self.rising += 1
@@ -281,6 +326,11 @@ class _Problem:
         if self.bound > self.cut:
             return None
         todo, need = [], self.cut + 1 - self.bound
+        if need == 1:
+            e = max((e for e in self.ties if e < t and len(groups[e].tables) > t - e), default=0)
+            if e:
+                self.visited += math.comb(k - e, t - e) * scalars ** (t - 1)
+                return todo, (e, self.ties[e])
         for join, group in self.members.items():
             if join <= t and need > 0:
                 todo.append((join, min(len(group), need)))
@@ -290,7 +340,7 @@ class _Problem:
             for join, count in todo
             for u in range(done.get(join, 0) + 1, t + 1)
         )
-        return todo
+        return todo, None
 
 
 class _Group:
@@ -298,14 +348,13 @@ class _Group:
 
     `counts[p]` is how many of problem p's sets run, its first ones, and
     `slots` lists them as (position, problem), ordered by position so that
-    equal counts keep a prefix; `running` lists the problems with any, and
-    `lone` is the one that owns every slot, if any, else `owners` is each
-    slot's problem.  `stacked` is their packed generators with every scalar
-    multiple, stacked along the word axis, and `tables` the tables built
-    from them (tables[1]: coefficient 1, lowest generator descending).
+    equal counts keep a prefix; `owners` are the slots' problems.  `stacked`
+    is their packed generators with every scalar multiple, stacked along the
+    word axis, and `tables` the tables built from them (tables[1]:
+    coefficient 1, lowest generator descending).
     """
 
-    __slots__ = ("counts", "slots", "running", "lone", "owners", "stacked", "tables")
+    __slots__ = ("counts", "slots", "owners", "stacked", "tables")
 
     def __init__(self, join: int, counts: list[int], problems, scalars, planes: int, words: int):
         self._run(counts)
@@ -330,12 +379,25 @@ class _Group:
         self.stacked = self.stacked[..., rows]
         self.tables[1:] = [(vecs[rows], starts) for vecs, starts in self.tables[1:]]
 
+    def tie(self, t: int, e: int, slots: list[tuple[int, int]]):
+        """`_tie_round` for the sets at `slots`, each (position, problem), and their owners.
+
+        Each of these sets has e extras, and table t - e is cached.
+        """
+        at = sorted(self.slots.index(slot) for slot in slots)
+        width = self.stacked.shape[-1] // len(self.slots)
+        if at == list(range(at[0], at[-1] + 1)):
+            rows = slice(at[0] * width, (at[-1] + 1) * width)
+        else:
+            rows = (np.array(at)[:, None] * width + np.arange(width)).ravel()
+        vecs, starts = self.tables[t - e]
+        blocks = _tie_round(self.stacked[:e, :, rows], vecs[rows, : starts[e]])
+        return blocks, _Owners([self.slots[j][1] for j in at])
+
     def _run(self, counts: list[int]) -> None:
         self.counts = counts
         self.slots = [(i, p) for i in range(max(counts)) for p, c in enumerate(counts) if i < c]
-        self.running = [p for p, c in enumerate(counts) if c]
-        self.lone = self.running[0] if len(self.running) == 1 else None
-        self.owners = None if self.lone is not None else np.array([p for _, p in self.slots])
+        self.owners = _Owners([p for _, p in self.slots])
 
 
 def _null_basis(bases: dict, reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
@@ -380,20 +442,23 @@ def min_cycle(
     would take any problem's count past `budget`, naming the largest such
     count.  Each witness is checked before it is returned.
     """
-    bases, products, searches, shapes = {}, {}, [], set()
+    bases, spans, searches, shapes = {}, {}, [], set()
     for a, (own, pivots), (adjoint, adjoint_pivots) in problems:
         gens = _null_basis(bases, own, pivots)
         if adjoint_pivots:
             # the sectors of one operator share the product of their kernel
-            # bases: each one's is the conjugate transpose of the other's
-            swapped = products.get((id(adjoint), id(own)))
+            # bases, each one's the conjugate transpose of the other's, so
+            # the rows that span one's rows, conjugated, span the other's
+            # columns and serve as its syndrome columns
+            swapped = spans.get((id(adjoint), id(own)))
             if swapped is None:
                 dual = _null_basis(bases, adjoint, adjoint_pivots)
                 full = matmul_codes(gens, CONJ[dual].T)
+                reduced, independent = rref_codes(full)
+                spans[id(own), id(adjoint)] = reduced[: len(independent)]
+                syndromes = full[:, independent]
             else:
-                full = CONJ[swapped].T
-            products[id(own), id(adjoint)] = full
-            syndromes = full[:, rref_codes(full)[1]]
+                syndromes = CONJ[swapped].T
         else:  # a* = 0: every cycle is nontrivial, and gens is the identity on a's free columns
             syndromes = np.eye(len(gens), dtype=np.uint8)
         if syndromes.shape[1] == 0:
@@ -413,14 +478,18 @@ def min_cycle(
     data, syndrome = pack_codes(np.array([coords, coords ^ 1]), 1, words)
     groups, done, live = {}, {}, list(range(len(searches)))
     for t in range(1, k + 1):
-        # counts[join][p]: how many of problem p's sets run in that group
-        counts, worst = {}, 0
+        # counts[join][p]: how many of problem p's sets run in that group;
+        # ties[e]: the (position, problem) of each tie set in group e
+        counts, ties, worst = {}, {}, 0
         for p in live[:]:
-            todo = searches[p].plan(t, k, done, len(scalars))
-            if todo is None:
+            plan = searches[p].plan(t, k, done, len(scalars), groups)
+            if plan is None:
                 live.remove(p)
                 continue
             worst = max(worst, searches[p].visited)
+            todo, tie = plan
+            if tie is not None:
+                ties.setdefault(tie[0], []).append((tie[1], p))
             for join, count in todo:
                 counts.setdefault(join, [0] * len(searches))[p] = count
         if worst > budget:
@@ -430,6 +499,11 @@ def min_cycle(
             )
         if not live:
             break
+        # tie sets first: the groups drop their rows when the others run
+        for e, slots in ties.items():
+            blocks, owners = groups[e].tie(t, e, slots)
+            for block in blocks:
+                _fold(block, planes, n, data, syndrome, extra, owners, searches)
         for join in sorted(counts):
             group = groups.get(join)
             if group is None:
@@ -438,7 +512,7 @@ def min_cycle(
                 group.keep(counts[join], planes * words)
             for u in range(done.get(join, 0) + 1, t + 1):
                 for block in _round(group.stacked, u, group.tables):
-                    _fold(block, planes, n, data, syndrome, extra, group, searches)
+                    _fold(block, planes, n, data, syndrome, extra, group.owners, searches)
             done[join] = t
     for search in searches:
         if search.best is not None:

@@ -100,21 +100,52 @@ def test_matches_oracle_when_information_sets_join_together():
             assert_matches_oracle(random_boundary(m, 1, np.random.default_rng(seed)))
 
 
+@pytest.mark.parametrize("cap", [8, 640, None], ids=["8 bytes", "640 bytes", "default"])
+def test_tie_rounds_match_the_oracle_at_every_block_size(cap, monkeypatch):
+    # these H = 1 operators of odd m end, in one sector or both, in a tie
+    # round: the bound before it equals the best weight, so it runs only the
+    # second information set's combinations that hold its extras.  Most tie
+    # in round 2 from table 1, cached at every size; m = 17 seed 51 and
+    # m = 19 seeds 15 and 20 have d_x = 5 and tie in round 3 from table 2,
+    # which 8 and 640 bytes do not cache, so there the round runs in full
+    if cap is not None:
+        monkeypatch.setattr("homprod.search._TABLE_BYTES", cap)
+    for m in (9, 11, 13, 15):
+        for seed in range(8):
+            assert_matches_oracle(random_boundary(m, 1, np.random.default_rng(seed)))
+    for m, seed in ((17, 51), (19, 15), (19, 20)):
+        assert assert_matches_oracle(random_boundary(m, 1, np.random.default_rng(seed))).d_x == 5
+
+
 def test_budget_counts_the_vectors_of_every_information_set():
     # each sector of this asymmetric css49 product has k = 25 kernel
     # generators and two information sets, of ranks 25 and 24, so the lower
-    # bound before round t is t + (t - 1).  Rounds 1 to 4 run both sets;
-    # round 5 starts at bound 9 = d and needs one finished set to exceed it,
-    # so it runs only the first set:
-    # 2 (C(25,1) + C(25,2) + C(25,3) + C(25,4)) + C(25,5) = 83,680 vectors
+    # bound before round t is t + (t - 1).  Rounds 1 to 4 run both sets.
+    # Round 5 starts at bound 9 = d, so it is a tie round: an unseen cycle
+    # of weight 9 takes exactly 5 generators of the second set, its one
+    # extra among them, and the round runs only those, C(24,4) of them:
+    # 2 (C(25,1) + C(25,2) + C(25,3) + C(25,4)) + C(24,4) = 41,176 vectors
     u = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     d_u = boundary_from_checks(steane_check_basis(), u)
     d_v = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
     p = product(d_u, d_v).partial
-    with pytest.raises(BudgetError, match=r"at least 83680$"):
-        distance(p, budget=83_679)
-    res = distance(p, budget=83_680)
+    with pytest.raises(BudgetError, match=r"at least 41176$"):
+        distance(p, budget=41_175)
+    res = distance(p, budget=41_176)
     assert (res.d_z, res.d_x) == (9, 9)
+
+
+def test_budget_counts_the_tie_round_of_a_symmetric_operator():
+    # the symmetric Steane^2 product is one problem with k = 25 and sets of
+    # ranks 25 and 24.  Rounds 1 to 3 run both sets; round 4 starts at bound
+    # 7 = d and is a tie round on the second set:
+    # 2 (C(25,1) + C(25,2) + C(25,3)) + C(24,3) = 2 (25 + 300 + 2,300) + 2,024 = 7,274
+    steane = boundary_from_checks(steane_check_basis(), BitMatrix.identity(3))
+    p = product(steane, steane).partial
+    with pytest.raises(BudgetError, match=r"at least 7274$"):
+        distance(p, budget=7_273)
+    res = distance(p, budget=7_274)
+    assert (res.d_z, res.d_x) == (7, 7)
 
 
 def test_budget_counts_only_the_information_sets_that_join():

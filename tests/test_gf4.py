@@ -710,21 +710,39 @@ def test_engine_matches_naive_enumeration_when_information_sets_join_together():
         assert found(r.witness) == naive_min_nontrivial(d)
 
 
+@pytest.mark.parametrize("cap", [8, 640, None], ids=["8 bytes", "640 bytes", "default"])
+def test_tie_rounds_match_naive_enumeration_at_every_block_size(cap, monkeypatch):
+    # H = 1 operators on 7 qubits of d = 3 end in a tie round 2: the bound
+    # before it equals the best weight, so it runs only the combinations of
+    # the second information set, rank 3, that hold its one extra, every
+    # scalar of the extra over table 1
+    if cap is not None:
+        monkeypatch.setattr("homprod.search._TABLE_BYTES", cap)
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        d = random_gf4_boundary(rng, 7, 3)
+        r = gf4_distance(d)
+        assert found(r.witness) == naive_min_nontrivial(d)
+
+
 def test_budget_counts_the_vectors_of_every_information_set():
     # this 5-qubit^2 product has k = 13 kernel generators, 3 scalars and two
     # information sets, of ranks 13 and 12, so the lower bound before round
     # t is t + (t - 1).  Rounds 1 and 2 run both sets, 2 (13 + C(13,2) 3) =
-    # 494 vectors; round 3 starts at bound 5 = d and needs one finished set
-    # to exceed it, so it runs only the first: 494 + C(13,3) 3^2 = 3,068
+    # 494 vectors.  Round 3 starts at bound 5 = d, so it is a tie round: an
+    # unseen cycle of weight 5 takes exactly 3 generators of the second set,
+    # its one extra among them, and the round runs only those, 2 of the 12
+    # others with every coefficient on all but the highest: 494 + C(12,2) 3^2
+    # = 1,088
     u = enumerate_selfadjoint_invertible(2)
     d1 = gf4_boundary_from_checks(five_qubit_check_basis(), u[0])
     d2 = gf4_boundary_from_checks(five_qubit_check_basis(), u[1])
     p = gf4_product(d1, d2)
     with pytest.raises(BudgetError, match=r"at least 494$"):
         gf4_distance(p, budget=100)
-    with pytest.raises(BudgetError, match=r"at least 3068$"):
-        gf4_distance(p, budget=3_067)
-    assert gf4_distance(p, budget=3_068).d == 5
+    with pytest.raises(BudgetError, match=r"at least 1088$"):
+        gf4_distance(p, budget=1_087)
+    assert gf4_distance(p, budget=1_088).d == 5
 
 
 @settings(max_examples=15, deadline=None)

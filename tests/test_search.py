@@ -74,3 +74,29 @@ def test_rounds_match_an_itertools_reference(s, t, m, planes, monkeypatch):
     order, scalars = reference_order(k, m, t)
     want = np.bitwise_xor.reduce(gens[order, scalars], axis=1)
     assert sorted(c.tobytes() for c in got.T) == sorted(c.tobytes() for c in want)
+
+
+@pytest.mark.parametrize("cap", [8, None], ids=["one sum per block", "default"])
+@pytest.mark.parametrize("e, t", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
+@pytest.mark.parametrize("m, planes", [(1, 1), (3, 2)], ids=["GF(2)", "GF(4)"])
+def test_tie_rounds_match_an_itertools_reference(e, t, m, planes, cap, monkeypatch):
+    # a tie round runs, from cached table t - e, every t-combination that
+    # holds all e extras, generators 0 to e - 1, and whose highest
+    # coefficient is 1, once each, in whatever order and blocks
+    if cap is not None:
+        monkeypatch.setattr("homprod.search._TABLE_BYTES", cap)
+    k, size = 7, 2 * planes
+    rng = np.random.default_rng([k, m, e, t])
+    gens = rng.integers(0, 1 << 64, size=(k, m, size), dtype=np.uint64)
+    table = (np.ascontiguousarray(gens[::-1, 0].T), tuple(range(k, -1, -1)))
+    for _ in range(t - e - 1):
+        table = search._extend(gens, table)
+    vecs, starts = table
+    blocks = list(search._tie_round(gens[:e], vecs[:, : starts[e]]))
+    got = np.concatenate(blocks, axis=1)
+    order, scalars = reference_order(k, m, t)
+    holds = (order[:, :e] == np.arange(e)).all(axis=1)
+    want = np.bitwise_xor.reduce(gens[order[holds], scalars[holds]], axis=1)
+    assert len(got.T) == math.comb(k - e, t - e) * m ** (t - 1)
+    assert sorted(c.tobytes() for c in got.T) == sorted(c.tobytes() for c in want)
+    assert len(blocks) == (m**e if cap is not None else 1)
