@@ -65,6 +65,14 @@ _GATHER_WIDTH = 1000
 # the sets before set j join no later than it, and it is not eliminated in
 # a round that they end by finishing it.
 #
+# A tie round (see `min_cycle`) runs only one set's combinations that hold
+# all e of its extras.  Each later set keeps its extras first, generators 0
+# to e - 1, so the other t - e generators of such a combination are a
+# column among the first starts[e] of the set's cached table t - e, and the
+# round is those columns XORed with the m^e sums of the extras at every
+# nonzero coefficient: one XOR per block, and no new table.  When table
+# t - e is not cached the round runs in full.
+#
 # Problems of one shape (length, kernel dimension and syndrome count), such
 # as the two sectors of a GF(2) operator, share the enumeration the same
 # way: a round's group stacks the sets of every problem that join in it,
@@ -432,6 +440,17 @@ def min_cycle(
     is eliminated in round max(1, k - u_{j-1}), u_{j-1} being the coordinates
     sets 1..j-1 leave unused, unless the sets that join by then already
     fill the round's need.
+
+    A round whose need is 1, its bound B already equal to the cut, is a
+    tie round.  Every unseen cycle of weight <= cut then weighs exactly B,
+    so it meets each set's term with equality.  Let e_j = k - r_j be set
+    j's extras, the generators that vanish on its information set.  For a
+    joined set with 1 <= e_j <= t - 1, equality means exactly t generators
+    of set j with all e_j extras among them.  So the round runs, for the
+    eligible set with the most extras whose table t - e_j is cached, only
+    those C(r_j, t - e_j) m^(t-1) combinations, and counts only them.
+    After it every unseen cycle weighs more than the cut, so the search
+    ends, with the same witness as a full round.
 
     The problems must share the length, the kernel dimension k and the
     number of syndrome columns, as a GF(2) operator and its transpose do.
