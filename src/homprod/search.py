@@ -44,10 +44,11 @@ _GATHER_WIDTH = 1000
 # coordinates first and the syndrome bits after them, over as many uint64
 # words as they need.  A combination is then an XOR of packed columns, its
 # weight the popcount of the OR of its planes over the coordinate bits, and
-# it is nontrivial when any syndrome bit is set.  Only the candidates at the
-# best weight are unpacked to codes, by `unpack_codes`, scaled to a leading
-# 1, and compared by one argmin over their bytes.  So one combination per
-# class of scalar multiples is enough: cached tables of s-generator
+# it is nontrivial when any syndrome bit is set.  Each problem pools the
+# packed candidates at its best weight, and only once the search ends are
+# they unpacked to codes, by `unpack_codes`, scaled to a leading 1 and
+# compared by one argmin over their bytes.  So one combination per class of
+# scalar multiples is enough: cached tables of s-generator
 # combinations hold the one whose highest generator has coefficient 1.  A
 # round whose table fits in _TABLE_BYTES is that table, built once and kept
 # for the next.  Table s + 1 adds a lower generator to table s: a cached
@@ -101,6 +102,14 @@ def _information_sets(gens: np.ndarray, free: list[int]):
         free = [c for c in free if c not in used]
         reduced = reduced.take(np.argsort(order), axis=1)
         yield np.concatenate((reduced[rank:], reduced[:rank])), rank, len(free)
+
+
+@functools.lru_cache(maxsize=16)
+def _masks(n: int, extra: int, words: int) -> np.ndarray:
+    """One plane's packed masks of the n coordinates and of the `extra`
+    syndrome bits after them, over `words` words."""
+    coords = (np.arange(n + extra) < n).view(np.uint8)
+    return pack_codes(np.array([coords, coords ^ 1]), 1, words)
 
 
 @functools.lru_cache(maxsize=16)
@@ -226,16 +235,18 @@ def _tie_round(extras: np.ndarray, prefix: np.ndarray):
 
 
 def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, owners: _Owners, problems):
-    """Merge a packed block into each problem's (weight, lex)-least nontrivial cycle.
+    """Pool a packed block's lightest nontrivial cycles into each problem's `pool`.
 
     The block stacks the rows of several information sets over the same
     combinations, so it reads as (sets, planes, words, columns), and each
     set's weight, syndrome test and candidates come from its own rows.
     `owners` says which problem in `problems` each set belongs to.  A
-    problem's `cut` is the weight of its `best`, or the weight limit while
-    there is none.  `data` and `syndrome` mask one plane's words to the n
-    coordinates and to the `extra` syndrome bits.  Each candidate is scaled
-    so that its first nonzero entry is 1.
+    problem's `cut` is the weight of its `pool`, or the weight limit while
+    there is none, and every later block and round reads it.  `data` and
+    `syndrome` mask one plane's words to the n coordinates and to the
+    `extra` syndrome bits.  Candidates lighter than the pool replace it and
+    candidates of its weight join it, packed; a pool past _TABLE_BYTES is
+    cut to its `_least` candidate.
     """
     words, count = len(data), block.shape[1]
     block = block.reshape(-1, planes, words, count)
@@ -273,15 +284,26 @@ def _fold(block: np.ndarray, planes: int, n: int, data, syndrome, extra: int, ow
             continue
         least = weights[mine].min()
         ties = mine[weights[mine] == least]
-        picked = block[sets[ties], :, :, cols[ties]]
-        cands = unpack_codes(picked.reshape(len(ties), -1), planes, n)
-        if planes > 1:
-            lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
-            cands = MUL[INV[lead][:, None], cands]
-        cand = cands[np.ascontiguousarray(cands).view(f"S{n}").argmin()]
+        picked = block[sets[ties], :, :, cols[ties]].reshape(len(ties), -1)
         problem = problems[p]
-        if problem.best is None or least < problem.cut or cand.tobytes() < problem.best.tobytes():
-            problem.cut, problem.best = int(least), cand
+        if problem.pool is None or least < problem.cut:
+            problem.cut, problem.pool = int(least), picked
+        else:
+            problem.pool = np.concatenate((problem.pool, picked))
+        if problem.pool.nbytes > _TABLE_BYTES:
+            problem.pool = _least(problem.pool, planes, n)[0]
+
+
+def _least(pool: np.ndarray, planes: int, n: int):
+    """The lex-least of the packed candidates `pool`, one per row, once each
+    is unpacked to its n codes and scaled so that its first nonzero entry is
+    1: (its packed row, as a one-row pool, and its codes)."""
+    cands = unpack_codes(pool, planes, n)
+    if planes > 1:
+        lead = cands[np.arange(len(cands)), np.argmax(cands != 0, axis=1)]
+        cands = MUL[INV[lead][:, None], cands]
+    i = np.ascontiguousarray(cands).view(f"S{n}").argmin()
+    return pool[i : i + 1], cands[i]
 
 
 class _Problem:
@@ -290,17 +312,17 @@ class _Problem:
     sets by join round (`members`), the position in members[e] of its
     first set with e >= 1 extras (`ties[e]`), the bound before the round,
     the sets whose terms grow when it finishes (`rising`) or first in
-    round t (`rises[t]`), its cut and best cycle, and the vectors it has
-    visited."""
+    round t (`rises[t]`), its cut and its `_fold` pool of the candidates at
+    the cut, and the vectors it has visited."""
 
     __slots__ = (
-        "a", "image", "sets", "pull", "members", "ties", "bound", "rising", "rises", "cut", "best", "visited"
+        "a", "image", "sets", "pull", "members", "ties", "bound", "rising", "rises", "cut", "pool", "visited"
     )
 
     def __init__(self, a: np.ndarray, image: np.ndarray, sets, cut: int):
         self.a, self.image, self.sets, self.pull, self.members, self.ties = a, image, sets, 1, {}, {}
         self.bound, self.rising, self.rises = 0, 0, {}
-        self.cut, self.best, self.visited = cut, None, 0
+        self.cut, self.pool, self.visited = cut, None, 0
 
     def plan(self, t: int, k: int, done: dict, scalars: int, groups: dict):
         """(todo, tie) for round t, or None once the search has ended.
@@ -364,11 +386,16 @@ class _Group:
 
     __slots__ = ("counts", "slots", "owners", "stacked", "tables")
 
-    def __init__(self, join: int, counts: list[int], problems, scalars, planes: int, words: int):
+    def __init__(self, join: int, counts: list[int], problems, planes: int, words: int):
         self._run(counts)
-        matrices = [problems[p].members[join][i] for i, p in self.slots]
-        codes = MUL[np.array(scalars)[:, None], np.array(matrices)[:, :, None, :]]
-        self.stacked = np.concatenate(pack_codes(codes, planes, words), axis=-1)
+        packed = pack_codes(np.array([problems[p].members[join][i] for i, p in self.slots]), planes, words)
+        if planes == 1:
+            multiples = [packed]
+        else:
+            # w maps the planes (a, b) to (b, a ^ b) and W maps them to (a ^ b, a)
+            a, b = packed[..., :words], packed[..., words:]
+            multiples = [packed, np.concatenate((b, a ^ b), axis=-1), np.concatenate((a ^ b, a), axis=-1)]
+        self.stacked = np.concatenate(np.stack(multiples, axis=2), axis=-1)
         k = len(self.stacked)
         self.tables = [None, (np.ascontiguousarray(self.stacked[::-1, 0].T), tuple(range(k, -1, -1)))]
 
@@ -376,14 +403,10 @@ class _Group:
         """Keep only the rows of the first counts[p] sets of each problem p.
 
         The sets that stop running belong to searches that end, so the
-        rows go for good: a view when they leave a prefix, else a copy.
+        rows go for good: a view when they are contiguous, else a copy.
         """
-        at = [j for j, (i, p) in enumerate(self.slots) if i < counts[p]]
+        rows = _rows([j for j, (i, p) in enumerate(self.slots) if i < counts[p]], width)
         self._run(counts)
-        if at == list(range(len(at))):
-            rows = slice(0, len(at) * width)
-        else:
-            rows = (np.array(at)[:, None] * width + np.arange(width)).ravel()
         self.stacked = self.stacked[..., rows]
         self.tables[1:] = [(vecs[rows], starts) for vecs, starts in self.tables[1:]]
 
@@ -393,11 +416,7 @@ class _Group:
         Each of these sets has e extras, and table t - e is cached.
         """
         at = sorted(self.slots.index(slot) for slot in slots)
-        width = self.stacked.shape[-1] // len(self.slots)
-        if at == list(range(at[0], at[-1] + 1)):
-            rows = slice(at[0] * width, (at[-1] + 1) * width)
-        else:
-            rows = (np.array(at)[:, None] * width + np.arange(width)).ravel()
+        rows = _rows(at, self.stacked.shape[-1] // len(self.slots))
         vecs, starts = self.tables[t - e]
         blocks = _tie_round(self.stacked[:e, :, rows], vecs[rows, : starts[e]])
         return blocks, _Owners([self.slots[j][1] for j in at])
@@ -406,6 +425,15 @@ class _Group:
         self.counts = counts
         self.slots = [(i, p) for i in range(max(counts)) for p, c in enumerate(counts) if i < c]
         self.owners = _Owners([p for _, p in self.slots])
+
+
+def _rows(at: list[int], width: int):
+    """The rows of the sets at the ascending positions `at` of a stack of
+    sets `width` rows each: a slice when the positions are contiguous, else
+    an index array."""
+    if at[-1] - at[0] == len(at) - 1:
+        return slice(at[0] * width, (at[-1] + 1) * width)
+    return (np.array(at)[:, None] * width + np.arange(width)).ravel()
 
 
 def _null_basis(bases: dict, reduced: np.ndarray, pivots: list[int]) -> np.ndarray:
@@ -493,8 +521,7 @@ def min_cycle(
     # Bits per code: one plane for the 0/1 scalars of GF(2), two for GF(4).
     planes = max(scalars).bit_length()
     words = -(-(n + extra) // 64)
-    coords = (np.arange(n + extra) < n).view(np.uint8)
-    data, syndrome = pack_codes(np.array([coords, coords ^ 1]), 1, words)
+    data, syndrome = _masks(n, extra, words)
     groups, done, live = {}, {}, list(range(len(searches)))
     for t in range(1, k + 1):
         # counts[join][p]: how many of problem p's sets run in that group;
@@ -526,17 +553,18 @@ def min_cycle(
         for join in sorted(counts):
             group = groups.get(join)
             if group is None:
-                group = groups[join] = _Group(join, counts[join], searches, scalars, planes, words)
+                group = groups[join] = _Group(join, counts[join], searches, planes, words)
             elif counts[join] != group.counts:
                 group.keep(counts[join], planes * words)
             for u in range(done.get(join, 0) + 1, t + 1):
                 for block in _round(group.stacked, u, group.tables):
                     _fold(block, planes, n, data, syndrome, extra, group.owners, searches)
             done[join] = t
-    for search in searches:
-        if search.best is not None:
-            check_witness(search.a, search.best, search.cut, search.image)
-    return [search.best for search in searches]
+    found = [None if search.pool is None else _least(search.pool, planes, n)[1] for search in searches]
+    for search, best in zip(searches, found):
+        if best is not None:
+            check_witness(search.a, best, search.cut, search.image)
+    return found
 
 
 def boundary_cycle(

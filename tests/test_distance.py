@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homprod import BitMatrix, BudgetError, DimensionError, NoLogicalsError, WitnessError
+from homprod import BitMatrix, BudgetError, DimensionError, NoLogicalsError, WitnessError, search
 from homprod.complexes import BoundaryOperator, canonical_boundary, random_boundary
 from homprod.css import boundary_from_checks, steane_check_basis
 from homprod.distance import distance, distance_parallel, distance_upper_bound, verify_witness
@@ -382,9 +382,14 @@ def test_ties_break_to_the_weight_lex_least_cycle(zeros, d):
     # many cycles tie at the least weight: every unit vector of a zero
     # operator, and each lightest cycle of d, once in each copy, in d + d.
     # distance runs both sectors of d + d in one min_cycle, so each
-    # sector's ties must be broken among its own candidates
-    assert_matches_oracle(BoundaryOperator(BitMatrix.zeros(zeros, zeros)))
-    assert_matches_oracle(BoundaryOperator(direct_sum(d.matrix, d.matrix)))
+    # sector's ties must be broken among its own candidates.  At 8 bytes
+    # the ties are split over many blocks and each pool of them is cut to
+    # its lex-least candidate as soon as it holds two
+    for cap in (8, search._TABLE_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homprod.search._TABLE_BYTES", cap)
+            assert_matches_oracle(BoundaryOperator(BitMatrix.zeros(zeros, zeros)))
+            assert_matches_oracle(BoundaryOperator(direct_sum(d.matrix, d.matrix)))
 
 
 @settings(max_examples=25, deadline=None)

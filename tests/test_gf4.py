@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homprod import search
 from homprod.css import boundary_from_checks, steane_check_basis
 from homprod.distance import distance
 from homprod.errors import (
@@ -750,12 +751,17 @@ def test_budget_counts_the_vectors_of_every_information_set():
 def test_ties_break_to_the_weight_lex_least_cycle(zeros, shape, seed):
     # many classes tie at the least weight: every unit vector of a zero
     # operator, and each lightest class of d, once in each copy, in d + d;
-    # every candidate is scaled to a leading 1 before the ties are broken
-    zero = direct_sum(np.zeros((zeros, zeros), dtype=np.uint8))
-    assert found(gf4_distance(zero).witness) == naive_min_nontrivial(zero)
-    d = random_gf4_boundary(np.random.default_rng(seed), *shape)
-    twice = direct_sum(d.delta.codes, d.delta.codes)
-    assert found(gf4_distance(twice).witness) == naive_min_nontrivial(twice)
+    # every candidate is scaled to a leading 1 before the ties are broken.
+    # At 8 bytes the ties are split over many blocks and each pool of them
+    # is cut to its lex-least candidate at once
+    for cap in (8, search._TABLE_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homprod.search._TABLE_BYTES", cap)
+            zero = direct_sum(np.zeros((zeros, zeros), dtype=np.uint8))
+            assert found(gf4_distance(zero).witness) == naive_min_nontrivial(zero)
+            d = random_gf4_boundary(np.random.default_rng(seed), *shape)
+            twice = direct_sum(d.delta.codes, d.delta.codes)
+            assert found(gf4_distance(twice).witness) == naive_min_nontrivial(twice)
 
 
 @settings(max_examples=30, deadline=None)
