@@ -39,21 +39,21 @@ _GATHER_WIDTH = 1000
 # witness check reduces the witness.
 #
 # Combinations are enumerated packed.  Each information set's generators are
-# packed once per search, with every scalar multiple, by linalg's
-# `pack_codes`: plane p of a vector holds bit p of its codes, the n
-# coordinates first and the syndrome bits after them, over as many uint64
-# words as they need.  A combination is then an XOR of packed columns, its
-# weight the popcount of the OR of its planes over the coordinate bits, and
-# it is nontrivial when any syndrome bit is set.  Each problem pools the
-# packed candidates at its best weight, and only once the search ends are
-# they unpacked to codes, by `unpack_codes`, scaled to a leading 1 and
-# compared by one argmin over their bytes.  So one combination per class of
-# scalar multiples is enough: cached tables of s-generator
-# combinations hold the one whose highest generator has coefficient 1.  A
-# round whose table fits in _TABLE_BYTES is that table, built once and kept
-# for the next.  Table s + 1 adds a lower generator to table s: a cached
-# index plan gathers the blocks narrower than _GATHER_WIDTH columns, whose
-# short rows cost more per word to XOR, and each wider block takes one XOR.
+# packed once per search by linalg's `pack_codes`: plane p of a vector holds
+# bit p of its codes, the n coordinates first and the syndrome bits after
+# them, over as many uint64 words as they need.  Their w and W multiples are
+# XORs of those planes (see `_Group`).  A combination is then an XOR of packed
+# columns, its weight the popcount of the OR of its planes over the coordinate
+# bits, and it is nontrivial when any syndrome bit is set.  Each problem pools
+# the packed candidates at its best weight; when the search ends, or the pool
+# passes _TABLE_BYTES, they are unpacked by `unpack_codes`, scaled to a
+# leading 1 and compared by one argmin over their bytes.  So one combination
+# per class of scalar multiples is enough: cached tables of s-generator
+# combinations hold the one whose highest generator has coefficient 1.  A round
+# whose table fits in _TABLE_BYTES is that table, built once and kept for the
+# next.  Table s + 1 adds a lower generator to table s: a cached index plan
+# gathers the blocks narrower than _GATHER_WIDTH columns, whose short rows
+# cost more per word to XOR, and each wider block takes one XOR.
 #
 # The sets that join in the same round, max(1, k - r_j), share one
 # enumeration: their packed generators are stacked along the word axis, so
@@ -487,7 +487,9 @@ def min_cycle(
     bound, cut, witness and count.  Vectors visited are counted per problem,
     per set that runs; BudgetError is raised before the first round that
     would take any problem's count past `budget`, naming the largest such
-    count.  Each witness is checked before it is returned.
+    count.  `_fold` pools each problem's packed candidates at its best
+    weight, and the (weight, lex) tie among them is broken once, after the
+    last round, by `_least`.  Each witness is checked before it is returned.
     """
     bases, spans, searches, shapes = {}, {}, [], set()
     for a, (own, pivots), (adjoint, adjoint_pivots) in problems:
